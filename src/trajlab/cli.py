@@ -1,10 +1,11 @@
 """Command-line front end: synth-data | train | predict | eval | bench.
 
 Configuration is a sectioned key=value file (INI syntax). Every key has a
-default; unknown sections or keys are rejected. `--set section.key=value`
-overrides individual entries and the TRAJLAB_SEED environment variable
-overrides run.seed. Every run writes a resolved-config snapshot that can be
-fed back through any subcommand to reproduce it.
+default; unknown sections or keys are rejected, and values are checked on
+load, so a bad value is a configuration error that names its key.
+`--set section.key=value` overrides individual entries and the TRAJLAB_SEED
+environment variable overrides run.seed. Every run writes a resolved-config
+snapshot that can be fed back through any subcommand to reproduce it.
 
 Exit codes: 0 success, 2 configuration error, 3 missing input file,
 4 checkpoint/config mismatch.
@@ -27,7 +28,7 @@ from .evaluation import (bench_samplers, best_of_n, read_predictions_json,
                          write_bench_csv, write_predictions_json)
 from .goal import TTSTConfig, load_semantic_grid, save_semantic_grid
 from .model import ModelConfig, PredictionModel, default_schedule
-from .sampler import NoiseStream, SamplerConfig
+from .sampler import NoiseStream, SamplerConfig, total_evals
 from .train import TrainConfig, Trainer
 
 EXIT_CONFIG = 2
@@ -44,10 +45,9 @@ DEFAULTS: dict[str, dict[str, object]] = {
               "denoiser_width": 64, "denoiser_blocks": 3, "embed_dim": 32,
               "goal_base_channels": 8, "sigma_px": 4.0, "agent_centric": True},
     "train": {"lambda": 20.0, "epochs": 200, "batch_size": 32, "lr": 1e-3,
-              "lr_decay": 0.99, "teacher_forcing": True,
-              "stop_goal_gradient": True, "val_fraction": 0.1,
+              "lr_decay": 0.99, "teacher_forcing": True, "val_fraction": 0.1,
               "max_seconds": 0.0},
-    "data": {"dataset_dir": "", "stride": 4, "held_out": ""},
+    "data": {"dataset_dir": "", "stride": 4},
     "synthetic": {"n_agents": 2000, "extent": 16.0, "grid_size": 32,
                   "anchors": "14,3;14,8;14,13", "speed_mean": 0.55,
                   "speed_std": 0.05, "heading_noise": 0.06},
@@ -100,8 +100,27 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
         cfg[section][key] = _convert(section, key, value)
     env_seed = os.environ.get("TRAJLAB_SEED")
     if env_seed is not None:
-        cfg["run"]["seed"] = int(env_seed)
+        try:
+            cfg["run"]["seed"] = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"TRAJLAB_SEED (run.seed): not an integer: {env_seed!r}") from None
+    _check_values(cfg)
     return cfg
+
+
+def _check_values(cfg: dict) -> None:
+    """Build each config object once, so that a bad value is a config error
+    naming its section and key rather than a failure deep inside a command."""
+    sampler = lambda c: total_evals(c["sampler"]["rule"], _sampler_config(c))  # checks the rule
+    for section, build in (("schedule", _schedule), ("sampler", sampler),
+                           ("train", _train_config), ("synthetic", _scene_config)):
+        try:
+            build(cfg)
+        except ValueError as e:
+            raise ConfigError(f"[{section}] {e}") from e
+    if not 0.0 <= cfg["train"]["val_fraction"] < 1.0:
+        raise ConfigError(f"[train] val_fraction must lie in [0, 1), "
+                          f"got {cfg['train']['val_fraction']}")
 
 
 def write_snapshot(cfg: dict, path) -> None:
@@ -139,6 +158,18 @@ def _sampler_config(cfg: dict, k_t: int | None = None) -> SamplerConfig:
     return SamplerConfig(K=cfg["schedule"]["K"], K_I=s["K_I"],
                          K_t=s["K_t"] if k_t is None else k_t,
                          eta=s["eta"], N=s["N"], t_f=cfg["model"]["t_f"])
+
+
+def _schedule(cfg: dict):
+    sc = cfg["schedule"]
+    return default_schedule(sc["K"], sc["beta_start"], sc["beta_end"])
+
+
+def _train_config(cfg: dict) -> TrainConfig:
+    tc = cfg["train"]
+    return TrainConfig(lam=tc["lambda"], epochs=tc["epochs"], batch_size=tc["batch_size"],
+                       lr=tc["lr"], lr_decay=tc["lr_decay"], seed=cfg["run"]["seed"],
+                       teacher_forcing=tc["teacher_forcing"])
 
 
 def _load_dataset(cfg: dict):
@@ -186,15 +217,8 @@ def cmd_train(cfg: dict) -> int:
     windows, sem = _load_dataset(cfg)
     train_set, _ = _split(windows, cfg)
     model = PredictionModel(_model_config(cfg), sem.grid)
-    schedule = default_schedule(cfg["schedule"]["K"], cfg["schedule"]["beta_start"],
-                                cfg["schedule"]["beta_end"])
-    tc = cfg["train"]
-    trainer = Trainer(model, sem, schedule, TrainConfig(
-        lam=tc["lambda"], epochs=tc["epochs"], batch_size=tc["batch_size"],
-        lr=tc["lr"], lr_decay=tc["lr_decay"], seed=cfg["run"]["seed"],
-        teacher_forcing=tc["teacher_forcing"],
-        stop_goal_gradient=tc["stop_goal_gradient"]))
-    max_seconds = tc["max_seconds"] or None
+    trainer = Trainer(model, sem, _schedule(cfg), _train_config(cfg))
+    max_seconds = cfg["train"]["max_seconds"] or None
     history = trainer.fit(train_set, log_path=out / "metrics.csv",
                           max_seconds=max_seconds)
     model.save(out / "checkpoint.npz")
@@ -218,8 +242,7 @@ def cmd_predict(cfg: dict) -> int:
     _, val = _split(windows, cfg)
     val = val[:cfg["eval"]["max_windows"]]
     model = _load_model(cfg)
-    schedule = default_schedule(cfg["schedule"]["K"], cfg["schedule"]["beta_start"],
-                                cfg["schedule"]["beta_end"])
+    schedule = _schedule(cfg)
     scfg = _sampler_config(cfg)
     ttst = TTSTConfig(cfg["eval"]["n_ttst"]) if cfg["eval"]["ttst"] else None
     seed = cfg["run"]["seed"]
@@ -266,8 +289,7 @@ def cmd_bench(cfg: dict) -> int:
     _, val = _split(windows, cfg)
     val = val[:cfg["eval"]["max_windows"]]
     model = _load_model(cfg)
-    schedule = default_schedule(cfg["schedule"]["K"], cfg["schedule"]["beta_start"],
-                                cfg["schedule"]["beta_end"])
+    schedule = _schedule(cfg)
     trunk_steps = tuple(int(v) for v in cfg["eval"]["trunk_steps"].split(","))
     ttst = TTSTConfig(cfg["eval"]["n_ttst"]) if cfg["eval"]["ttst"] else None
     rows = bench_samplers(model, val, sem, schedule, _sampler_config(cfg),

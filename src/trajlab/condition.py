@@ -1,10 +1,11 @@
-"""Goal-augmented history state and the shared sequence encoder.
+"""Goal-augmented history features and the shared sequence encoder.
 
 Each history frame becomes an 8-vector [D, X, V, A]: offset to the goal,
 position, velocity, acceleration. Velocities/accelerations use first
 differences with the first row replicated so the row count stays t_h.
 One encoder (a small LSTM plus an output projection) is shared between the
-common-goal and diverse-goal features.
+common-goal and diverse-goal features; training and inference both run its
+batched `forward_t`.
 """
 
 from __future__ import annotations
@@ -17,37 +18,19 @@ from .nncore import Dense, LSTMCell, Tensor
 
 
 @dataclass
-class AugmentedState:
-    rows: np.ndarray  # (t_h, 8)
-
-
-@dataclass
 class ConditionFeature:
     vector: np.ndarray
     kind: str  # "common" or "diverse"
-    goal: np.ndarray
-
-
-def _diff_replicate_first(x: np.ndarray) -> np.ndarray:
-    d = np.diff(x, axis=0)
-    return np.vstack([d[:1], d])
-
-
-def augment_state(X: np.ndarray, g: np.ndarray) -> AugmentedState:
-    X = np.asarray(X, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != 2:
-        raise ValueError(f"history must have shape (t_h, 2), got {X.shape}")
-    if X.shape[0] < 2:
-        raise ValueError("need at least 2 history frames to form velocities")
-    V = _diff_replicate_first(X)
-    A = _diff_replicate_first(V)
-    D = X - g
-    return AugmentedState(np.hstack([D, X, V, A]))
 
 
 def augment_batch(X: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Vectorized augment_state: (B, t_h, 2) histories, (B, 2) goals -> (B, t_h, 8)."""
+    """(B, t_h, 2) histories and (B, 2) goals -> (B, t_h, 8) rows [D, X, V, A]."""
+    X = np.asarray(X, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if X.ndim != 3 or X.shape[2] != 2:
+        raise ValueError(f"histories must have shape (B, t_h, 2), got {X.shape}")
+    if X.shape[1] < 2:
+        raise ValueError("need at least 2 history frames to form velocities")
     V = np.concatenate([X[:, 1:2] - X[:, 0:1], np.diff(X, axis=1)], axis=1)
     A = np.concatenate([V[:, 1:2] - V[:, 0:1], np.diff(V, axis=1)], axis=1)
     D = X - g[:, None, :]
@@ -74,15 +57,14 @@ class SequenceEncoder:
             h, c = self.cell(Tensor(rows[:, t]), h, c)
         return self.proj(h)
 
-    def encode(self, a: AugmentedState, kind: str = "common",
-               goal: np.ndarray | None = None) -> ConditionFeature:
-        if not np.all(np.isfinite(a.rows)):
+    def encode(self, rows: np.ndarray, kinds: list[str]) -> list[ConditionFeature]:
+        """Inference features for (B, t_h, 8) rows, one per row, tagged with its kind."""
+        if not np.all(np.isfinite(rows)):
             raise ValueError("augmented state contains non-finite entries")
-        out = self.forward_t(a.rows[None]).data[0]
+        out = self.forward_t(rows).data
         if not np.all(np.isfinite(out)):
             raise ValueError("encoder produced non-finite activations")
-        g = goal if goal is not None else -a.rows[-1, 0:2] + a.rows[-1, 2:4]
-        return ConditionFeature(out, kind, np.asarray(g, dtype=np.float64))
+        return [ConditionFeature(v, kind) for v, kind in zip(out, kinds, strict=True)]
 
     def parameters(self) -> dict:
         out = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,35 +80,35 @@ def write_trajectory_file(path, tracks: list[Track]) -> None:
                 f.write(f"{frame} {t.agent_id} {x:.6f} {y:.6f}\n")
 
 
-def _contiguous_segments(track: Track) -> list[np.ndarray]:
-    """Split a track at frame gaps; the dataset rate is the modal frame step."""
+def _contiguous_segments(track: Track) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split a track at frame gaps into (frames, xy) pieces; the dataset rate
+    is the modal frame step."""
     if len(track.frames) < 2:
-        return [track.xy] if len(track.frames) else []
+        return [(track.frames, track.xy)] if len(track.frames) else []
     diffs = np.diff(track.frames)
     step = Counter(diffs.tolist()).most_common(1)[0][0]
     cuts = np.where(diffs != step)[0] + 1
-    return np.split(track.xy, cuts)
+    return list(zip(np.split(track.frames, cuts), np.split(track.xy, cuts)))
 
 
 def make_windows(tracks: list[Track], t_h: int = 8, t_f: int = 12,
                  stride: int = 1) -> list[TrajectoryWindow]:
-    """Slide a (t_h + t_f) window over every contiguous track segment."""
+    """Slide a (t_h + t_f) window over every contiguous track segment.
+    `frame_base` is the frame id of the window's first history frame."""
     if min(t_h, t_f, stride) < 1:
         raise ValueError("t_h, t_f and stride must all be >= 1")
     span = t_h + t_f
     windows = []
     for track in tracks:
-        offset = 0
-        for seg in _contiguous_segments(track):
+        for frames, seg in _contiguous_segments(track):
             for start in range(0, len(seg) - span + 1, stride):
                 windows.append(TrajectoryWindow(
                     scene_id=track.scene_id,
                     agent_id=track.agent_id,
                     history=seg[start:start + t_h].copy(),
                     future=seg[start + t_h:start + span].copy(),
-                    frame_base=int(track.frames[0]) + offset + start,
+                    frame_base=int(frames[start]),
                 ))
-            offset += len(seg)
     return windows
 
 
@@ -125,16 +125,16 @@ def tail_windows(tracks: list[Track], t_h: int = 8, t_f: int = 12) -> list[Traje
             out.append(best)
     return out
 
-
-def leave_one_scene_out(windows: list[TrajectoryWindow], held_out: str):
-    """Partition windows into (train, test) with `held_out` as the test scene."""
+    """Partition windows into (train, test); test holds every window of `test_scene`."""
+def leave_one_scene_out(windows: list[TrajectoryWindow], test_scene: str):
+    """Partition windows into (train, test) with `test_scene` as the test scene."""
     scenes = {w.scene_id for w in windows}
-    if held_out not in scenes:
-        raise ValueError(f"unknown scene {held_out!r}; have {sorted(scenes)}")
-    test = [w for w in windows if w.scene_id == held_out]
-    train = [w for w in windows if w.scene_id != held_out]
+    if test_scene not in scenes:
+        raise ValueError(f"unknown scene {test_scene!r}; have {sorted(scenes)}")
+    test = [w for w in windows if w.scene_id == test_scene]
+    train = [w for w in windows if w.scene_id != test_scene]
     if not test:
-        warnings.warn(f"held-out scene {held_out!r} has no windows")
+        warnings.warn(f"test scene {test_scene!r} has no windows")
     return train, test
 
 

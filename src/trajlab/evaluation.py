@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,10 +19,6 @@ BENCH_HEADER = "sampler,K,K_I,K_t,eta,N,ade,fde,evals,ms"
 @dataclass
 class PredictionSet:
     trajectories: np.ndarray  # (N, t_f, 2)
-    sampler: str = ""
-    config: SamplerConfig | None = None
-    eval_count: int = 0
-    wall_ms: float = 0.0
 
     def __post_init__(self):
         self.trajectories = np.asarray(self.trajectories, dtype=np.float64)

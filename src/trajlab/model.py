@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
-from .condition import SequenceEncoder, augment_state
+from .condition import SequenceEncoder, augment_batch
 from .denoiser import NoisePredictor
 from .goal import (GoalNet, GridSpec, HeatMapStack, SemanticGrid, TTSTConfig,
                    predict_heatmaps, rasterize_points, select_goals)
@@ -88,16 +88,13 @@ class PredictionModel:
         return HeatMapStack(self.grid, rasterize_points(history, self.grid, self.cfg.sigma_px))
 
     def condition_features(self, history: np.ndarray, goals) -> tuple:
-        """Encode common and diverse features for an agent-centric history."""
+        """Encode the common and diverse features of an agent-centric history
+        in one encoder batch (common goal first)."""
         origin = history[-1] if self.cfg.agent_centric else np.zeros(2)
-        hist_c = history - origin
-
-        def feat(goal, kind):
-            aug = augment_state(hist_c, np.asarray(goal) - origin)
-            return self.encoder.encode(aug, kind, np.asarray(goal))
-
-        common = feat(goals.common, "common")
-        diverse = [feat(g, "diverse") for g in goals.diverse]
+        goals_c = np.vstack([goals.common, goals.diverse]) - origin
+        hists_c = np.broadcast_to(history - origin, (len(goals_c),) + history.shape)
+        kinds = ["common"] + ["diverse"] * len(goals.diverse)
+        common, *diverse = self.encoder.encode(augment_batch(hists_c, goals_c), kinds)
         return common, diverse
 
     def predict_window(self, history: np.ndarray, sem: SemanticGrid,
@@ -116,7 +113,7 @@ class PredictionModel:
         else:
             trajs = sample_standard(denoise, f_diverse, sampler_cfg, schedule, rng, rule)
         origin = history[-1] if self.cfg.agent_centric else np.zeros(2)
-        return np.stack([t.values + origin for t in trajs])
+        return np.stack(trajs) + origin
 
 
 def default_schedule(K: int = 100, beta_start: float = 1e-4,

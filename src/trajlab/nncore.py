@@ -3,7 +3,9 @@
 Everything runs on float64 numpy arrays. The Tensor class records a tape of
 elementary ops; Parameter marks trainable leaves. Layers (Dense, LSTMCell,
 conv2d) compose Tensor ops, so their gradients come from the same tape and
-can all be checked against finite differences.
+can all be checked against finite differences. A backward closure never holds
+its own output, so a graph has no reference cycles and is freed as soon as
+its last tensor is dropped.
 """
 
 from __future__ import annotations
@@ -135,9 +137,10 @@ class Tensor:
 
     def exp(self):
         out = Tensor(np.exp(self.data), (self,))
+        y = out.data  # not `out`: a closure over its own output is a reference cycle
 
         def back(g):
-            self.grad += g * out.data
+            self.grad += g * y
 
         out._backward = back
         return out
@@ -153,18 +156,20 @@ class Tensor:
 
     def tanh(self):
         out = Tensor(np.tanh(self.data), (self,))
+        y = out.data  # not `out`: a closure over its own output is a reference cycle
 
         def back(g):
-            self.grad += g * (1.0 - out.data ** 2)
+            self.grad += g * (1.0 - y ** 2)
 
         out._backward = back
         return out
 
     def sigmoid(self):
         out = Tensor(1.0 / (1.0 + np.exp(-self.data)), (self,))
+        y = out.data  # not `out`: a closure over its own output is a reference cycle
 
         def back(g):
-            self.grad += g * out.data * (1.0 - out.data)
+            self.grad += g * y * (1.0 - y)
 
         out._backward = back
         return out

@@ -1,13 +1,16 @@
 """Reverse-process step rules and the trunk/branch tree-sampling loop.
 
-Four step rules: stochastic DDPM, deterministic DDPM (noise term removed),
-DDIM with eta-controlled stochasticity, and the two-stage tree sampler that
-runs one deterministic trunk under the common feature and N DDIM branches
-under the diverse features.
+Three step rules: stochastic DDPM, deterministic DDPM (noise term removed)
+and DDIM with eta-controlled stochasticity. Every sampler runs them through
+one reverse-chain loop over (k_hi, k_lo) index pairs: DDPM chains step
+k -> k-1, DDIM chains jump along a strided sub-sequence, and the tree sampler
+runs one deterministic d-DDPM trunk under the common feature followed by N
+DDIM branches under the diverse features. Finiteness is checked once per
+chain output.
 
-Denoisers are passed in as plain callables `denoiser(k, y, f) -> eps` where
-`y` is a (t_f, 2) array and `f` is whatever conditioning object the caller
-uses (the sampler never inspects it).
+Trajectories are plain (t_f, 2) float64 arrays. Denoisers are passed in as
+callables `denoiser(k, y, f) -> eps`, where `f` is whatever conditioning
+object the caller uses (the sampler never inspects it).
 """
 
 from __future__ import annotations
@@ -17,21 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schedule import NoiseSchedule, posterior_variance
-
-
-@dataclass
-class TrajectoryTensor:
-    """A (t_f, 2) trajectory at diffusion step `step_index` (0 = denoised)."""
-
-    values: np.ndarray
-    step_index: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] != 2:
-            raise ValueError(f"trajectory must have shape (t_f, 2), got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("trajectory contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -78,34 +66,37 @@ class NoiseStream:
 # -- single-step rules --
 
 
-def forward_noise(Y0: TrajectoryTensor, k: int, eps: np.ndarray, s: NoiseSchedule) -> TrajectoryTensor:
-    """Closed-form forward process: sqrt(abar_k) Y0 + sqrt(1 - abar_k) eps."""
-    s._check(k)
+def forward_noise(Y0: np.ndarray, k, eps: np.ndarray, s: NoiseSchedule) -> np.ndarray:
+    """Closed-form forward process: sqrt(abar_k) Y0 + sqrt(1 - abar_k) eps.
+
+    `k` is one step index, or one index per row of a batch `Y0` (B, t_f, 2)."""
+    Y0 = np.asarray(Y0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != Y0.values.shape:
-        raise ValueError(f"eps shape {eps.shape} != trajectory shape {Y0.values.shape}")
-    abar = s.alpha_bar(k)
-    return TrajectoryTensor(np.sqrt(abar) * Y0.values + np.sqrt(1.0 - abar) * eps, k)
+    if eps.shape != Y0.shape:
+        raise ValueError(f"eps shape {eps.shape} != trajectory shape {Y0.shape}")
+    k = np.asarray(k)
+    if np.any(k < 1) or np.any(k > s.K):
+        raise ValueError(f"step index {k} outside [1, {s.K}]")
+    abar = s.alpha_bars[k - 1].reshape(k.shape + (1,) * (Y0.ndim - k.ndim))
+    return np.sqrt(abar) * Y0 + np.sqrt(1.0 - abar) * eps
 
 
-def d_ddpm_step(Yk: TrajectoryTensor, k: int, eps_pred: np.ndarray, s: NoiseSchedule) -> TrajectoryTensor:
+def d_ddpm_step(Yk: np.ndarray, k: int, eps_pred: np.ndarray, s: NoiseSchedule) -> np.ndarray:
     """Deterministic DDPM update (stochastic rule with the noise term removed)."""
     s._check(k)
     alpha = s.alpha(k)
     abar = s.alpha_bar(k)
-    mean = (Yk.values - (1.0 - alpha) / np.sqrt(1.0 - abar) * np.asarray(eps_pred)) / np.sqrt(alpha)
-    return TrajectoryTensor(mean, k - 1)
+    return (Yk - (1.0 - alpha) / np.sqrt(1.0 - abar) * np.asarray(eps_pred)) / np.sqrt(alpha)
 
 
-def ddpm_step(Yk: TrajectoryTensor, k: int, eps_pred: np.ndarray, z: np.ndarray,
-              s: NoiseSchedule) -> TrajectoryTensor:
+def ddpm_step(Yk: np.ndarray, k: int, eps_pred: np.ndarray, z: np.ndarray,
+              s: NoiseSchedule) -> np.ndarray:
     """Stochastic DDPM update: deterministic mean plus sqrt(posterior variance) z."""
     z = np.asarray(z, dtype=np.float64)
     if k == 1 and np.any(z != 0.0):
         raise ValueError("z must be zero at the final step (k=1)")
     mean = d_ddpm_step(Yk, k, eps_pred, s)
-    sigma = np.sqrt(posterior_variance(s, k))
-    return TrajectoryTensor(mean.values + sigma * z, k - 1)
+    return mean + np.sqrt(posterior_variance(s, k)) * z
 
 
 def ddim_sigma(s: NoiseSchedule, k: int, eta: float) -> float:
@@ -125,8 +116,8 @@ def ddim_sigma_pair(s: NoiseSchedule, k_hi: int, k_lo: int, eta: float) -> float
     return float(np.sqrt(max(radicand, 0.0)))
 
 
-def ddim_step(Yk: TrajectoryTensor, k_hi: int, k_lo: int, eps_pred: np.ndarray,
-              z: np.ndarray, eta: float, s: NoiseSchedule) -> TrajectoryTensor:
+def ddim_step(Yk: np.ndarray, k_hi: int, k_lo: int, eps_pred: np.ndarray,
+              z: np.ndarray, eta: float, s: NoiseSchedule) -> np.ndarray:
     """DDIM update jumping from schedule index k_hi to k_lo."""
     if k_lo >= k_hi:
         raise ValueError(f"k_lo must be < k_hi, got ({k_hi}, {k_lo})")
@@ -138,10 +129,9 @@ def ddim_step(Yk: TrajectoryTensor, k_hi: int, k_lo: int, eps_pred: np.ndarray,
     abar_lo = s.alpha_bar(k_lo)
     eps_coef = (np.sqrt(max(1.0 - abar_lo - sigma ** 2, 0.0))
                 - np.sqrt(abar_lo * (1.0 - abar_hi) / abar_hi))
-    out = (np.sqrt(abar_lo / abar_hi) * Yk.values
-           + eps_coef * np.asarray(eps_pred)
-           + sigma * z)
-    return TrajectoryTensor(out, k_lo)
+    return (np.sqrt(abar_lo / abar_hi) * Yk
+            + eps_coef * np.asarray(eps_pred)
+            + sigma * z)
 
 
 # -- step-count bookkeeping --
@@ -184,45 +174,59 @@ def total_evals(rule: str, cfg: SamplerConfig) -> int:
 # -- full chains --
 
 
-def _ddim_chain(y: TrajectoryTensor, pairs, denoiser, f, eta: float,
-                s: NoiseSchedule, stream: NoiseStream) -> TrajectoryTensor:
-    for k_hi, k_lo in pairs:
-        eps = denoiser(k_hi, y.values, f)
-        sigma = ddim_sigma_pair(s, k_hi, k_lo, eta)
-        if sigma > 0.0 and k_lo > 0:
-            z = stream.normal(y.values.shape)
+def _step_rule(rule: str, eta: float, s: NoiseSchedule, stream: NoiseStream | None):
+    """The `(y, k_hi, k_lo, eps) -> y` update of one rule. DDPM steps k_hi to
+    k_hi - 1; DDIM jumps to k_lo. Stochastic rules draw z from `stream`."""
+    if rule == "d_ddpm":
+        return lambda y, k, _, eps: d_ddpm_step(y, k, eps, s)
+    if rule == "ddpm":
+        return lambda y, k, _, eps: ddpm_step(
+            y, k, eps, stream.normal(y.shape) if k > 1 else np.zeros_like(y), s)
+
+    def ddim(y, k_hi, k_lo, eps):
+        if ddim_sigma_pair(s, k_hi, k_lo, eta) > 0.0 and k_lo > 0:
+            z = stream.normal(y.shape)
         else:
-            z = np.zeros_like(y.values)
-        y = ddim_step(y, k_hi, k_lo, eps, z, eta, s)
+            z = np.zeros_like(y)
+        return ddim_step(y, k_hi, k_lo, eps, z, eta, s)
+    return ddim
+
+
+def _reverse_chain(y: np.ndarray, pairs, denoiser, f, step, name: str) -> np.ndarray:
+    """Run `step` over the (k_hi, k_lo) pairs, one denoiser eval per pair."""
+    for k_hi, k_lo in pairs:
+        y = step(y, k_hi, k_lo, denoiser(k_hi, y, f))
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"{name} produced non-finite values")
     return y
 
 
+def _check_run(cfg: SamplerConfig, s: NoiseSchedule, n_features: int) -> None:
+    if s.K != cfg.K:
+        raise ValueError(f"schedule has K={s.K} but config says K={cfg.K}")
+    if n_features != cfg.N:
+        raise ValueError(f"expected {cfg.N} features, got {n_features}")
+
+
 def tree_sample(denoiser, f_common, f_diverse: list, cfg: SamplerConfig,
-                s: NoiseSchedule, rng: NoiseStream) -> list[TrajectoryTensor]:
+                s: NoiseSchedule, rng: NoiseStream) -> list[np.ndarray]:
     """Trunk/branch sampling: one shared deterministic trunk conditioned on the
     common feature, then one DDIM branch per diverse feature.
 
     Denoiser cost is K_t + N * K_b regardless of how the branches interleave.
     """
-    if s.K != cfg.K:
-        raise ValueError(f"schedule has K={s.K} but config says K={cfg.K}")
-    if len(f_diverse) != cfg.N:
-        raise ValueError(f"expected {cfg.N} diverse features, got {len(f_diverse)}")
-    y = TrajectoryTensor(rng.normal((cfg.t_f, 2)), cfg.K)
-    for k in range(cfg.K, cfg.K - cfg.K_t, -1):
-        eps = denoiser(k, y.values, f_common)
-        y = d_ddpm_step(y, k, eps, s)
-    k_b = branch_step_count(cfg.K, cfg.K_I, cfg.K_t)
-    pairs = ddim_subsequence(cfg.K, cfg.K_t, k_b)
-    results = []
-    for n, f_n in enumerate(f_diverse):
-        start = TrajectoryTensor(y.values.copy(), y.step_index)
-        results.append(_ddim_chain(start, pairs, denoiser, f_n, cfg.eta, s, rng.fork(n)))
-    return results
+    _check_run(cfg, s, len(f_diverse))
+    trunk = [(k, k - 1) for k in range(cfg.K, cfg.K - cfg.K_t, -1)]
+    y = _reverse_chain(rng.normal((cfg.t_f, 2)), trunk, denoiser, f_common,
+                       _step_rule("d_ddpm", cfg.eta, s, None), "trunk")
+    pairs = ddim_subsequence(cfg.K, cfg.K_t, branch_step_count(cfg.K, cfg.K_I, cfg.K_t))
+    return [_reverse_chain(y, pairs, denoiser, f_n, _step_rule("ddim", cfg.eta, s, rng.fork(n)),
+                           f"branch {n}")
+            for n, f_n in enumerate(f_diverse)]
 
 
 def sample_standard(denoiser, f: list, cfg: SamplerConfig, s: NoiseSchedule,
-                    rng: NoiseStream, rule: str) -> list[TrajectoryTensor]:
+                    rng: NoiseStream, rule: str) -> list[np.ndarray]:
     """N independent full reverse chains under one of the baseline rules.
 
     All chains share the initial Gaussian draw (drawn once from the parent
@@ -231,26 +235,12 @@ def sample_standard(denoiser, f: list, cfg: SamplerConfig, s: NoiseSchedule,
     """
     if rule not in ("ddpm", "d_ddpm", "ddim"):
         raise ValueError(f"unknown sampling rule {rule!r}")
-    if s.K != cfg.K:
-        raise ValueError(f"schedule has K={s.K} but config says K={cfg.K}")
-    if len(f) != cfg.N:
-        raise ValueError(f"expected {cfg.N} features, got {len(f)}")
+    _check_run(cfg, s, len(f))
     y_init = rng.normal((cfg.t_f, 2))
     if rule == "ddim":
         pairs = ddim_subsequence(cfg.K, 0, cfg.K_I)
-    results = []
-    for n, f_n in enumerate(f):
-        stream = rng.fork(n)
-        y = TrajectoryTensor(y_init.copy(), cfg.K)
-        if rule == "ddim":
-            y = _ddim_chain(y, pairs, denoiser, f_n, cfg.eta, s, stream)
-        else:
-            for k in range(cfg.K, 0, -1):
-                eps = denoiser(k, y.values, f_n)
-                if rule == "ddpm":
-                    z = stream.normal(y.values.shape) if k > 1 else np.zeros_like(y.values)
-                    y = ddpm_step(y, k, eps, z, s)
-                else:
-                    y = d_ddpm_step(y, k, eps, s)
-        results.append(y)
-    return results
+    else:
+        pairs = [(k, k - 1) for k in range(cfg.K, 0, -1)]
+    return [_reverse_chain(y_init, pairs, denoiser, f_n,
+                           _step_rule(rule, cfg.eta, s, rng.fork(n)), f"{rule} chain {n}")
+            for n, f_n in enumerate(f)]

@@ -1,10 +1,12 @@
 """Losses and the end-to-end training loop.
 
 The goal head trains with mean binary cross-entropy against rasterized
-future heat-maps; the trajectory head trains with the standard noise
-matching objective (mean squared error between drawn and predicted noise).
-Teacher forcing feeds the ground-truth goal to the trajectory side, which
-together with gradient stopping fully decouples the two heads.
+future heat-maps (`goal_loss`); the trajectory head trains with the standard
+noise matching objective, the mean squared error between drawn and predicted
+noise (`diffusion_loss`). Both return graph tensors, and the trainer
+optimises exactly these two. Teacher forcing feeds the ground-truth goal to
+the trajectory side; the estimated goal otherwise enters as plain numpy, so
+gradients never cross between the two heads.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condition import augment_batch
-from .goal import HeatMapStack, SemanticGrid, rasterize_points
+from .goal import SemanticGrid, rasterize_points
 from .model import PredictionModel
 from .nncore import Adam, Tensor
-from .sampler import TrajectoryTensor, forward_noise
+from .sampler import forward_noise
 from .schedule import NoiseSchedule
 
 BCE_CLIP = 1e-7
@@ -33,7 +35,6 @@ class TrainConfig:
     lr_decay: float = 0.99
     seed: int = 0
     teacher_forcing: bool = True
-    stop_goal_gradient: bool = True
 
     def __post_init__(self):
         if self.lam < 0:
@@ -42,33 +43,29 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-def goal_loss(pred: HeatMapStack, target: HeatMapStack) -> float:
-    """Mean binary cross-entropy over all pixels and channels."""
-    if pred.channels.shape != target.channels.shape:
+def goal_loss(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy of per-pixel probabilities against target maps."""
+    if pred.shape != target.shape:
         raise ValueError("prediction/target shape mismatch")
-    p = np.clip(pred.channels, BCE_CLIP, 1.0 - BCE_CLIP)
-    t = target.channels
-    return float(np.mean(-(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))))
+    p = pred.clip(BCE_CLIP, 1.0 - BCE_CLIP)
+    t = Tensor(target)
+    return (-(t * p.log() + (1.0 - t) * (1.0 - p).log())).mean()
 
 
-def diffusion_loss(Y0: TrajectoryTensor, f, denoiser, s: NoiseSchedule,
-                   rng: np.random.Generator) -> float:
-    """Single-sample noise-matching loss: draw k and eps, noise Y0, compare."""
-    k = int(rng.integers(1, s.K + 1))
-    eps = rng.standard_normal(Y0.values.shape)
+def diffusion_loss(Y0: np.ndarray, f: Tensor, denoiser, s: NoiseSchedule,
+                   rng: np.random.Generator) -> Tensor:
+    """Noise matching over a (B, t_f, 2) batch: draw k then eps per row, noise
+    Y0 in closed form, and take the mean squared error of the prediction."""
+    b = len(Y0)
+    k = rng.integers(1, s.K + 1, size=b)
+    eps = rng.standard_normal(Y0.shape)
     yk = forward_noise(Y0, k, eps, s)
-    pred = denoiser.predict_noise(k, yk.values, f)
-    return float(np.mean((pred - eps) ** 2))
+    diff = denoiser.forward_t(k, yk.reshape(b, -1), f) - Tensor(eps.reshape(b, -1))
+    return (diff * diff).mean()
 
 
 def combined_loss(l_traj: float, l_goal: float, lam: float) -> float:
     return l_traj + lam * l_goal
-
-
-def _bce_t(logits: Tensor, target: np.ndarray) -> Tensor:
-    p = logits.sigmoid().clip(BCE_CLIP, 1.0 - BCE_CLIP)
-    t = Tensor(target)
-    return (-(t * p.log() + (1.0 - t) * (1.0 - p).log())).mean()
 
 
 class Trainer:
@@ -101,7 +98,7 @@ class Trainer:
         sem_b = np.broadcast_to(self.sem.channels, (len(histories),) + self.sem.channels.shape)
         x = np.concatenate([hist_maps, sem_b], axis=1)
         logits = model.goal_net.forward_t(Tensor(x))
-        l_goal = _bce_t(logits, self._target_maps(futures))
+        l_goal = goal_loss(logits.sigmoid(), self._target_maps(futures))
 
         # trajectory branch
         origin = histories[:, -1] if mcfg.agent_centric else np.zeros((len(histories), 2))
@@ -117,18 +114,8 @@ class Trainer:
             goals = np.stack([model.grid.pixel_to_world(i // model.grid.W, i % model.grid.W)
                               for i in flat])
             goals_c = goals - origin
-        rows = augment_batch(hist_c, goals_c)
-        f = model.encoder.forward_t(rows)
-
-        b = len(histories)
-        k = self.rng.integers(1, self.schedule.K + 1, size=b)
-        eps = self.rng.standard_normal((b, mcfg.t_f, 2))
-        abar = self.schedule.alpha_bars[k - 1][:, None, None]
-        yk = np.sqrt(abar) * fut_c + np.sqrt(1.0 - abar) * eps
-        eps_pred = model.denoiser.forward_t(k, yk.reshape(b, -1), f)
-        diff = eps_pred - Tensor(eps.reshape(b, -1))
-        l_traj = (diff * diff).mean()
-        return l_goal, l_traj
+        f = model.encoder.forward_t(augment_batch(hist_c, goals_c))
+        return l_goal, diffusion_loss(fut_c, f, model.denoiser, self.schedule, self.rng)
 
     def train_epoch(self, windows: list) -> dict:
         if not windows:

@@ -22,9 +22,8 @@ from trajlab.goal import GoalNet, GridSpec, SemanticGrid, predict_heatmaps
 from trajlab.model import ModelConfig, PredictionModel, default_schedule
 from trajlab.nncore import (Dense, LSTMCell, Parameter, Tensor, concat, conv2d,
                             upsample2x)
-from trajlab.sampler import (NoiseStream, SamplerConfig, TrajectoryTensor,
-                             branch_step_count, d_ddpm_step, ddim_sigma,
-                             ddpm_step, forward_noise, sample_standard,
+from trajlab.sampler import (NoiseStream, SamplerConfig, branch_step_count,
+                             d_ddpm_step, ddim_sigma, ddpm_step, forward_noise, sample_standard,
                              total_evals, tree_sample)
 from trajlab.schedule import NoiseSchedule, make_linear_schedule, posterior_variance
 from trajlab.train import TrainConfig, Trainer
@@ -79,7 +78,7 @@ def test_criterion_02_trunkless_tree_is_plain_ddim():
         seed = int(rng.integers(1 << 30))
         a = tree_sample(stub, 0.0, fs, cfg, s, NoiseStream(seed))
         b = sample_standard(stub, fs, cfg, s, NoiseStream(seed), rule="ddim")
-        ok &= all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+        ok &= all(np.array_equal(x, y) for x, y in zip(a, b))
     elapsed = time.perf_counter() - start
     report(2, ok and elapsed < 5.0,
            f"tree sampling with no trunk bitwise equals DDIM on 100 stubbed "
@@ -124,12 +123,11 @@ def test_criterion_04_deterministic_chains_are_bit_reproducible():
     runs = []
     for _ in range(10):
         out = tree_sample(stub, 0.5, [1.0, 2.0, 3.0], cfg, s, NoiseStream(404))
-        runs.append(np.stack([t.values for t in out]))
+        runs.append(np.stack(out))
     repro = all(np.array_equal(runs[0], r) for r in runs[1:])
 
-    chains = [np.stack([t.values for t in
-                        sample_standard(stub, [1.0, 2.0, 3.0], cfg, s,
-                                        NoiseStream(405), "d_ddpm")])
+    chains = [np.stack(sample_standard(stub, [1.0, 2.0, 3.0], cfg, s,
+                                       NoiseStream(405), "d_ddpm"))
               for _ in range(10)]
     repro &= all(np.array_equal(chains[0], c) for c in chains[1:])
 
@@ -137,11 +135,11 @@ def test_criterion_04_deterministic_chains_are_bit_reproducible():
     zero_z = True
     for _ in range(50):
         k = int(rng.integers(1, 61))
-        y = TrajectoryTensor(rng.standard_normal((6, 2)), k)
+        y = rng.standard_normal((6, 2))
         eps = rng.standard_normal((6, 2))
         a = ddpm_step(y, k, eps, np.zeros((6, 2)), s)
         b = d_ddpm_step(y, k, eps, s)
-        zero_z &= np.array_equal(a.values, b.values)
+        zero_z &= np.array_equal(a, b)
     report(4, repro and zero_z,
            "10x bit-identical deterministic chains/trunks; DDPM(z=0) == d-DDPM")
 
@@ -297,19 +295,19 @@ def test_criterion_05_finite_difference_gradients():
 def test_criterion_06_forward_noise_statistics():
     rng = np.random.default_rng(606)
     s = make_linear_schedule(100)
-    y0 = TrajectoryTensor(rng.uniform(-2.0, 2.0, size=(2, 2)), 0)
+    y0 = rng.uniform(-2.0, 2.0, size=(2, 2))
     n = 100_000
     ok = True
     for k in rng.choice(np.arange(1, 101), size=10, replace=False):
         k = int(k)
         abar = s.alpha_bar(k)
         eps = rng.standard_normal((n, 2, 2))
-        yk = np.sqrt(abar) * y0.values + np.sqrt(1.0 - abar) * eps
+        # the trainer's batched closed form, one step index per row
+        yk = forward_noise(np.broadcast_to(y0, eps.shape), np.full(n, k), eps, s)
         # spot-check the closed form itself on one draw
-        single = forward_noise(y0, k, eps[0], s)
-        ok &= np.array_equal(single.values, yk[0])
+        ok &= np.array_equal(yk[0], np.sqrt(abar) * y0 + np.sqrt(1.0 - abar) * eps[0])
         mean_se = np.sqrt(1.0 - abar) / np.sqrt(n)
-        ok &= np.all(np.abs(yk.mean(axis=0) - np.sqrt(abar) * y0.values) < 3 * mean_se)
+        ok &= np.all(np.abs(yk.mean(axis=0) - np.sqrt(abar) * y0) < 3 * mean_se)
         var = yk.var(axis=0)
         var_se = (1.0 - abar) * np.sqrt(2.0 / (n - 1))
         ok &= np.all(np.abs(var - (1.0 - abar)) < 3 * var_se)

@@ -82,6 +82,23 @@ class TestExitCodes:
         assert main(["train", "--set", "schedule.K=banana"]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, key", [
+        ("sampler.K_t=500", "K_t"),
+        ("sampler.rule=euler", "euler"),
+        ("train.val_fraction=1", "val_fraction"),
+    ])
+    def test_bad_config_value_is_2(self, override, key, capsys):
+        assert main(["train", "--set", override]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error") and key in err
+        assert len(err.splitlines()) == 1
+
+    def test_bad_env_seed_is_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("TRAJLAB_SEED", "abc")
+        assert main(["train"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert "TRAJLAB_SEED" in err and len(err.splitlines()) == 1
+
     def test_missing_config_file_is_3(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.ini")]) == EXIT_MISSING
 

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from conftest import finite_difference, rel_error
-from trajlab.condition import (SequenceEncoder, augment_batch, augment_state)
+from trajlab.condition import SequenceEncoder, augment_batch
 from trajlab.nncore import Parameter
+
+
+def augment_one(X, g) -> np.ndarray:
+    """(t_h, 8) rows of one history and goal, through the batch builder."""
+    return augment_batch(np.asarray(X)[None], np.asarray(g)[None])[0]
 
 
 class TestAugmentState:
     def test_hand_worked_example(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
         g = np.array([5.0, 0.0])
-        rows = augment_state(X, g).rows
+        rows = augment_one(X, g)
         assert rows.shape == (3, 8)
         np.testing.assert_array_equal(rows[:, 0:2],
                                       [[-5.0, 0.0], [-4.0, 0.0], [-2.0, 0.0]])
@@ -25,55 +27,52 @@ class TestAugmentState:
 
     def test_constant_velocity_zero_acceleration(self):
         X = np.cumsum(np.tile([0.5, -0.25], (6, 1)), axis=0)
-        rows = augment_state(X, np.zeros(2)).rows
+        rows = augment_one(X, np.zeros(2))
         assert np.allclose(rows[:, 4:6], [0.5, -0.25])
         assert np.allclose(rows[:, 6:8], 0.0)
 
     def test_positions_recoverable_from_velocities(self, rng):
         X = rng.standard_normal((8, 2))
-        rows = augment_state(X, np.zeros(2)).rows
+        rows = augment_one(X, np.zeros(2))
         rebuilt = X[0] + np.vstack([np.zeros(2), np.cumsum(rows[1:, 4:6], axis=0)])
         assert np.allclose(rebuilt, X)
 
     def test_rejects_short_history(self):
         with pytest.raises(ValueError):
-            augment_state(np.zeros((1, 2)), np.zeros(2))
+            augment_batch(np.zeros((3, 1, 2)), np.zeros((3, 2)))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            augment_state(np.zeros((4, 3)), np.zeros(2))
-
-
-@settings(max_examples=30, deadline=None)
-@given(arrays(np.float64, (3, 8, 2), elements=st.floats(-50, 50)),
-       arrays(np.float64, (3, 2), elements=st.floats(-50, 50)))
-def test_augment_batch_matches_single(X, g):
-    batched = augment_batch(X, g)
-    for i in range(3):
-        assert np.array_equal(batched[i], augment_state(X[i], g[i]).rows)
+            augment_batch(np.zeros((3, 4, 3)), np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            augment_batch(np.zeros((4, 2)), np.zeros((1, 2)))
 
 
 class TestSequenceEncoder:
     def test_output_shape_and_metadata(self, rng):
         enc = SequenceEncoder(hidden=16, d_f=10, rng=rng)
-        a = augment_state(rng.standard_normal((8, 2)), rng.standard_normal(2))
-        f = enc.encode(a, "diverse", np.array([1.0, 2.0]))
-        assert f.vector.shape == (10,)
-        assert f.kind == "diverse"
-        np.testing.assert_array_equal(f.goal, [1.0, 2.0])
+        rows = augment_batch(rng.standard_normal((3, 8, 2)), rng.standard_normal((3, 2)))
+        feats = enc.encode(rows, ["common", "diverse", "diverse"])
+        assert [f.kind for f in feats] == ["common", "diverse", "diverse"]
+        assert all(f.vector.shape == (10,) for f in feats)
+
+    def test_one_kind_per_row(self, rng):
+        enc = SequenceEncoder(hidden=8, d_f=4, rng=rng)
+        with pytest.raises(ValueError):
+            enc.encode(rng.standard_normal((3, 8, 8)), ["common", "diverse"])
 
     def test_deterministic(self, rng):
         enc = SequenceEncoder(hidden=8, d_f=4, rng=np.random.default_rng(1))
-        a = augment_state(rng.standard_normal((8, 2)), np.zeros(2))
-        v1 = enc.encode(a).vector
-        v2 = enc.encode(a).vector
+        rows = augment_one(rng.standard_normal((8, 2)), np.zeros(2))[None]
+        v1 = enc.encode(rows, ["common"])[0].vector
+        v2 = enc.encode(rows, ["common"])[0].vector
         assert np.array_equal(v1, v2)
 
     def test_goal_changes_feature(self, rng):
         enc = SequenceEncoder(hidden=8, d_f=4, rng=np.random.default_rng(1))
         X = rng.standard_normal((8, 2))
-        v1 = enc.encode(augment_state(X, np.array([0.0, 0.0]))).vector
-        v2 = enc.encode(augment_state(X, np.array([5.0, 5.0]))).vector
+        rows = augment_batch(np.stack([X, X]), np.array([[0.0, 0.0], [5.0, 5.0]]))
+        v1, v2 = (f.vector for f in enc.encode(rows, ["diverse", "diverse"]))
         assert not np.allclose(v1, v2)
 
     def test_batched_forward_matches_single(self, rng):
@@ -86,10 +85,10 @@ class TestSequenceEncoder:
 
     def test_rejects_nonfinite_state(self, rng):
         enc = SequenceEncoder(hidden=8, d_f=4, rng=rng)
-        a = augment_state(np.zeros((4, 2)), np.zeros(2))
-        a.rows[0, 0] = np.nan
+        rows = augment_one(np.zeros((4, 2)), np.zeros(2))[None]
+        rows[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
-            enc.encode(a)
+            enc.encode(rows, ["common"])
 
     def test_parameter_gradients_finite_difference(self, rng):
         enc = SequenceEncoder(hidden=4, d_f=3, rng=np.random.default_rng(3))

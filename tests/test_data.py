@@ -103,6 +103,16 @@ class TestWindows:
         for w in ws:
             assert np.max(np.abs(np.diff(np.concatenate([w.history, w.future])[:, 0]))) == 1.0
 
+    def test_frame_base_is_first_frame_id(self):
+        # step-10 frames: 200..410 (22 frames), gap, 500..690 (20 frames)
+        frames = np.concatenate([np.arange(200, 420, 10), np.arange(500, 700, 10)])
+        xy = np.stack([np.arange(42, dtype=float), np.zeros(42)], axis=1)
+        ws = make_windows([Track("s", 0, frames, xy)], 8, 12, stride=1)
+        assert [w.frame_base for w in ws] == [200, 210, 220, 500]
+        assert [w.history[0, 0] for w in ws] == [0.0, 1.0, 2.0, 22.0]
+        tail, = tail_windows([Track("s", 0, frames, xy)], 8, 12)
+        assert tail.frame_base == 500
+
     def test_subsampled_frames_accepted(self):
         ws = make_windows([straight_track(20, frame_step=10)], 8, 12)
         assert len(ws) == 1

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -250,3 +252,20 @@ def test_detach_blocks_gradient():
     out = (p.detach() * p).sum()
     out.backward()
     assert p.grad[0] == pytest.approx(3.0)
+
+
+def test_graph_has_no_reference_cycles(rng):
+    # a dropped graph must be freed by reference counting; cycles would keep
+    # every step's arrays alive until the cyclic collector happens to run
+    cell = LSTMCell(3, 4, rng)
+    x = Tensor(rng.standard_normal((2, 3)))
+    gc.collect()
+    gc.disable()
+    try:
+        h, c = cell(x, Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
+        loss = (h.exp() + c.tanh()).sum()
+        loss.backward()
+        del h, c, loss
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajlab.sampler import (NoiseStream, SamplerConfig, TrajectoryTensor,
-                             branch_step_count, d_ddpm_step, ddim_sigma,
-                             ddim_step, ddim_subsequence, ddpm_step,
+from trajlab.sampler import (NoiseStream, SamplerConfig, branch_step_count,
+                             d_ddpm_step, ddim_sigma, ddim_step, ddim_subsequence, ddpm_step,
                              forward_noise, sample_standard, total_evals,
                              tree_sample)
 from trajlab.schedule import NoiseSchedule, make_linear_schedule
@@ -14,8 +13,8 @@ from trajlab.schedule import NoiseSchedule, make_linear_schedule
 T_F = 12
 
 
-def traj(value: float, k: int) -> TrajectoryTensor:
-    return TrajectoryTensor(np.full((T_F, 2), value), k)
+def traj(value: float) -> np.ndarray:
+    return np.full((T_F, 2), value)
 
 
 def schedule_with(alpha_k: float, abar_k: float) -> NoiseSchedule:
@@ -27,28 +26,39 @@ def schedule_with(alpha_k: float, abar_k: float) -> NoiseSchedule:
 class TestForwardNoise:
     def test_zero_noise(self):
         s = make_linear_schedule(10)
-        y0 = traj(1.0, 0)
+        y0 = traj(1.0)
         out = forward_noise(y0, 5, np.zeros((T_F, 2)), s)
-        assert np.allclose(out.values, np.sqrt(s.alpha_bar(5)))
-        assert out.step_index == 5
+        assert np.allclose(out, np.sqrt(s.alpha_bar(5)))
 
     def test_direct_arithmetic(self):
         # abar_k = 0.9, eps = 0.5 everywhere: sqrt(0.9) + sqrt(0.1)*0.5
         s = schedule_with(0.99, 0.9)
-        out = forward_noise(traj(1.0, 0), 2, np.full((T_F, 2), 0.5), s)
+        out = forward_noise(traj(1.0), 2, np.full((T_F, 2), 0.5), s)
         expected = np.sqrt(0.9) + np.sqrt(0.1) * 0.5
-        assert np.allclose(out.values, expected)
+        assert np.allclose(out, expected)
         assert expected == pytest.approx(1.106797, abs=1e-6)
 
     def test_shape_mismatch(self):
         s = make_linear_schedule(10)
         with pytest.raises(ValueError):
-            forward_noise(traj(1.0, 0), 5, np.zeros((3, 2)), s)
+            forward_noise(traj(1.0), 5, np.zeros((3, 2)), s)
 
     def test_out_of_range_k(self):
         s = make_linear_schedule(10)
         with pytest.raises(ValueError):
-            forward_noise(traj(1.0, 0), 11, np.zeros((T_F, 2)), s)
+            forward_noise(traj(1.0), 11, np.zeros((T_F, 2)), s)
+        with pytest.raises(ValueError):
+            forward_noise(np.zeros((2, T_F, 2)), np.array([3, 0]), np.zeros((2, T_F, 2)), s)
+
+    def test_per_row_k_matches_single_rows_bitwise(self):
+        s = make_linear_schedule(10)
+        rng = np.random.default_rng(4)
+        y0 = rng.standard_normal((5, T_F, 2))
+        eps = rng.standard_normal((5, T_F, 2))
+        k = np.array([1, 4, 4, 7, 10])
+        batch = forward_noise(y0, k, eps, s)
+        for i in range(5):
+            assert np.array_equal(batch[i], forward_noise(y0[i], int(k[i]), eps[i], s))
 
 
 class TestDDPMSteps:
@@ -58,41 +68,41 @@ class TestDDPMSteps:
         with mpmath.workdps(40):
             a, ab, e = mpmath.mpf("0.99"), mpmath.mpf("0.9"), mpmath.mpf("0.5")
             expected = float((1 / mpmath.sqrt(a)) * (1 - (1 - a) / mpmath.sqrt(1 - ab) * e))
-        out = d_ddpm_step(traj(1.0, 2), 2, np.full((T_F, 2), 0.5), s)
-        assert np.allclose(out.values, expected)
+        out = d_ddpm_step(traj(1.0), 2, np.full((T_F, 2), 0.5), s)
+        assert np.allclose(out, expected)
         assert expected == pytest.approx(0.989147, abs=1e-6)
 
     def test_d_ddpm_deterministic_bitwise(self):
         s = make_linear_schedule(50)
         rng = np.random.default_rng(0)
-        y = TrajectoryTensor(rng.standard_normal((T_F, 2)), 30)
+        y = rng.standard_normal((T_F, 2))
         eps = rng.standard_normal((T_F, 2))
         a = d_ddpm_step(y, 30, eps, s)
         b = d_ddpm_step(y, 30, eps, s)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_ddpm_zero_z_equals_d_ddpm(self):
         s = make_linear_schedule(50)
         rng = np.random.default_rng(1)
-        y = TrajectoryTensor(rng.standard_normal((T_F, 2)), 20)
+        y = rng.standard_normal((T_F, 2))
         eps = rng.standard_normal((T_F, 2))
         stoch = ddpm_step(y, 20, eps, np.zeros((T_F, 2)), s)
         det = d_ddpm_step(y, 20, eps, s)
-        assert np.array_equal(stoch.values, det.values)
+        assert np.array_equal(stoch, det)
 
     def test_ddpm_mean_plus_sigma(self):
         s = schedule_with(0.99, 0.9)
         z = np.ones((T_F, 2))
-        out = ddpm_step(traj(1.0, 2), 2, np.full((T_F, 2), 0.5), z, s)
+        out = ddpm_step(traj(1.0), 2, np.full((T_F, 2), 0.5), z, s)
         beta_tilde = (1.0 - 0.9 / 0.99) / (1.0 - 0.9) * (1.0 - 0.99)
         mean = (1.0 - 0.01 / np.sqrt(0.1) * 0.5) / np.sqrt(0.99)
         assert mean == pytest.approx(0.989147, abs=1e-6)
-        assert np.allclose(out.values, mean + np.sqrt(beta_tilde), atol=1e-12)
+        assert np.allclose(out, mean + np.sqrt(beta_tilde), atol=1e-12)
 
     def test_ddpm_rejects_noise_at_last_step(self):
         s = make_linear_schedule(10)
         with pytest.raises(ValueError):
-            ddpm_step(traj(1.0, 1), 1, np.zeros((T_F, 2)), np.ones((T_F, 2)), s)
+            ddpm_step(traj(1.0), 1, np.zeros((T_F, 2)), np.ones((T_F, 2)), s)
 
 
 class TestDDIM:
@@ -116,9 +126,9 @@ class TestDDIM:
     def test_degenerate_jump_identity(self):
         # abar equal at both ends and sigma 0 -> output equals input
         s = NoiseSchedule(np.array([0.1, 1e-12]))
-        y = traj(1.3, 2)
+        y = traj(1.3)
         out = ddim_step(y, 2, 1, np.full((T_F, 2), 0.7), np.zeros((T_F, 2)), 0.0, s)
-        assert np.allclose(out.values, y.values, atol=1e-5)
+        assert np.allclose(out, y, atol=1e-5)
 
     def test_scalar_jump_oracle(self):
         # abar_hi = 0.9, abar_lo = 0.95, eps = 0.5, eta = 0
@@ -127,24 +137,24 @@ class TestDDIM:
             hi, lo, e = mpmath.mpf("0.9"), mpmath.mpf("0.95"), mpmath.mpf("0.5")
             expected = float(mpmath.sqrt(lo / hi) * 1
                              + (mpmath.sqrt(1 - lo) - mpmath.sqrt(lo * (1 - hi) / hi)) * e)
-        out = ddim_step(traj(1.0, 2), 2, 1, np.full((T_F, 2), 0.5), np.zeros((T_F, 2)), 0.0, s)
-        assert np.allclose(out.values, expected, atol=1e-12)
+        out = ddim_step(traj(1.0), 2, 1, np.full((T_F, 2), 0.5), np.zeros((T_F, 2)), 0.0, s)
+        assert np.allclose(out, expected, atol=1e-12)
 
     def test_eta1_consecutive_matches_ddpm(self):
         s = make_linear_schedule(100)
         rng = np.random.default_rng(3)
         for k in rng.integers(2, 101, size=20):
-            y = TrajectoryTensor(rng.standard_normal((T_F, 2)), int(k))
+            y = rng.standard_normal((T_F, 2))
             eps = rng.standard_normal((T_F, 2))
             z = rng.standard_normal((T_F, 2))
             via_ddim = ddim_step(y, int(k), int(k) - 1, eps, z, 1.0, s)
             via_ddpm = ddpm_step(y, int(k), eps, z, s)
-            assert np.allclose(via_ddim.values, via_ddpm.values, atol=1e-9)
+            assert np.allclose(via_ddim, via_ddpm, atol=1e-9)
 
     def test_rejects_bad_index_order(self):
         s = make_linear_schedule(10)
         with pytest.raises(ValueError):
-            ddim_step(traj(1.0, 5), 5, 5, np.zeros((T_F, 2)), np.zeros((T_F, 2)), 0.0, s)
+            ddim_step(traj(1.0), 5, 5, np.zeros((T_F, 2)), np.zeros((T_F, 2)), 0.0, s)
 
 
 class TestStepCounts:
@@ -206,14 +216,14 @@ class TestTreeSample:
         a = tree_sample(stub, 9.0, fs, cfg, s, NoiseStream(7))
         b = sample_standard(stub, fs, cfg, s, NoiseStream(7), rule="ddim")
         for ta, tb in zip(a, b):
-            assert np.array_equal(ta.values, tb.values)
+            assert np.array_equal(ta, tb)
 
     def test_identical_conditions_eta0_bitwise_equal(self):
         s = make_linear_schedule(100)
         cfg = SamplerConfig(K=100, K_I=20, K_t=20, N=3, eta=0.0)
         out = tree_sample(_CountingStub(), 1.0, [2.0, 2.0, 2.0], cfg, s, NoiseStream(5))
-        assert np.array_equal(out[0].values, out[1].values)
-        assert np.array_equal(out[1].values, out[2].values)
+        assert np.array_equal(out[0], out[1])
+        assert np.array_equal(out[1], out[2])
 
     def test_branch_permutation_equivariance(self):
         s = make_linear_schedule(100)
@@ -225,15 +235,37 @@ class TestTreeSample:
         # distinct features give distinct outputs
         again = tree_sample(_CountingStub(), 0.0, fs, cfg, s, NoiseStream(3))
         for ta, tb in zip(out, again):
-            assert np.array_equal(ta.values, tb.values)
-        assert not np.allclose(out[0].values, out[1].values)
+            assert np.array_equal(ta, tb)
+        assert not np.allclose(out[0], out[1])
 
     def test_trunk_output_fully_denoised(self):
         s = make_linear_schedule(50)
         cfg = SamplerConfig(K=50, K_I=10, K_t=10, N=2, eta=1.0, t_f=5)
         out = tree_sample(_CountingStub(), 0.0, [1.0, 2.0], cfg, s, NoiseStream(1))
-        assert all(t.step_index == 0 for t in out)
-        assert all(t.values.shape == (5, 2) for t in out)
+        assert all(t.shape == (5, 2) for t in out)
+
+
+class TestChainFiniteness:
+    def test_non_finite_trunk_names_the_chain(self):
+        s = make_linear_schedule(10)
+        cfg = SamplerConfig(K=10, K_I=5, K_t=2, N=2, t_f=3)
+        nan_under_common = lambda k, y, f: np.full_like(y, np.nan if f == "c" else 0.0)
+        with pytest.raises(ValueError, match="trunk"):
+            tree_sample(nan_under_common, "c", ["d", "d"], cfg, s, NoiseStream(0))
+
+    def test_non_finite_branch_names_the_chain(self):
+        s = make_linear_schedule(10)
+        cfg = SamplerConfig(K=10, K_I=5, K_t=2, N=2, t_f=3)
+        nan_in_branch_1 = lambda k, y, f: np.full_like(y, np.nan if f == 1 else 0.0)
+        with pytest.raises(ValueError, match="branch 1"):
+            tree_sample(nan_in_branch_1, 0, [0, 1], cfg, s, NoiseStream(0))
+
+    def test_non_finite_standard_chain_names_the_rule(self):
+        s = make_linear_schedule(10)
+        cfg = SamplerConfig(K=10, K_I=5, K_t=0, N=1, t_f=3)
+        nan = lambda k, y, f: np.full_like(y, np.nan)
+        with pytest.raises(ValueError, match="d_ddpm chain 0"):
+            sample_standard(nan, [0], cfg, s, NoiseStream(0), "d_ddpm")
 
 
 class TestSampleStandard:
@@ -255,8 +287,8 @@ class TestSampleStandard:
         s = make_linear_schedule(60)
         cfg = SamplerConfig(K=60, K_I=10, K_t=0, N=3)
         out = sample_standard(_CountingStub(), [1.0, 1.0, 1.0], cfg, s, NoiseStream(2), "d_ddpm")
-        assert np.array_equal(out[0].values, out[1].values)
-        assert np.array_equal(out[1].values, out[2].values)
+        assert np.array_equal(out[0], out[1])
+        assert np.array_equal(out[1], out[2])
 
     def test_unknown_rule(self):
         s = make_linear_schedule(10)

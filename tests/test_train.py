@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from trajlab.data import TrajectoryWindow
-from trajlab.goal import GridSpec, HeatMapStack, SemanticGrid
+from trajlab.goal import GridSpec, SemanticGrid
 from trajlab.model import ModelConfig, PredictionModel, default_schedule
-from trajlab.sampler import TrajectoryTensor
+from trajlab.nncore import Tensor
 from trajlab.schedule import make_linear_schedule
 from trajlab.train import (TrainConfig, Trainer, combined_loss, diffusion_loss,
                            goal_loss)
@@ -38,25 +38,24 @@ def tiny_windows(n=8, seed=0):
 class TestGoalLoss:
     def test_perfect_half_prediction(self):
         # p = 0.5 everywhere, t = 0.5 everywhere -> BCE = ln 2
-        pred = HeatMapStack(GRID, np.full((2, 12, 12), 0.5))
-        target = HeatMapStack(GRID, np.full((2, 12, 12), 0.5))
-        assert goal_loss(pred, target) == pytest.approx(np.log(2.0), rel=1e-12)
+        pred = Tensor(np.full((2, 12, 12), 0.5))
+        target = np.full((2, 12, 12), 0.5)
+        assert float(goal_loss(pred, target).data) == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_confident_correct(self):
         # p = 0.9 on t = 1 -> -ln 0.9
-        pred = HeatMapStack(GRID, np.full((1, 12, 12), 0.9))
-        target = HeatMapStack(GRID, np.ones((1, 12, 12)))
-        assert goal_loss(pred, target) == pytest.approx(-np.log(0.9), rel=1e-9)
+        pred = Tensor(np.full((1, 12, 12), 0.9))
+        target = np.ones((1, 12, 12))
+        assert float(goal_loss(pred, target).data) == pytest.approx(-np.log(0.9), rel=1e-9)
 
     def test_clip_keeps_loss_finite(self):
-        pred = HeatMapStack(GRID, np.zeros((1, 12, 12)))
-        target = HeatMapStack(GRID, np.ones((1, 12, 12)))
-        assert np.isfinite(goal_loss(pred, target))
+        pred = Tensor(np.zeros((1, 12, 12)))
+        target = np.ones((1, 12, 12))
+        assert np.isfinite(goal_loss(pred, target).data)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            goal_loss(HeatMapStack(GRID, np.ones((1, 12, 12))),
-                      HeatMapStack(GRID, np.ones((2, 12, 12))))
+            goal_loss(Tensor(np.ones((1, 12, 12))), np.ones((2, 12, 12)))
 
 
 class TestDiffusionLoss:
@@ -64,30 +63,30 @@ class TestDiffusionLoss:
         # a denoiser returning exactly the drawn eps has zero loss; reproduce
         # the draw with the same seeded generator
         sched = make_linear_schedule(10)
-        y0 = TrajectoryTensor(np.zeros((3, 2)), 0)
+        y0 = np.zeros((1, 3, 2))
 
         class Oracle:
-            def predict_noise(self, k, yk, f):
+            def forward_t(self, k, yk, f):
                 rng = np.random.default_rng(99)
-                rng.integers(1, 11)
-                return rng.standard_normal((3, 2))
+                rng.integers(1, 11, size=1)
+                return Tensor(rng.standard_normal((1, 3, 2)).reshape(1, -1))
 
-        assert diffusion_loss(y0, None, Oracle(), sched,
-                              np.random.default_rng(99)) == 0.0
+        loss = diffusion_loss(y0, None, Oracle(), sched, np.random.default_rng(99))
+        assert float(loss.data) == 0.0
 
     def test_zero_denoiser_mean_squared_noise(self):
         sched = make_linear_schedule(10)
-        y0 = TrajectoryTensor(np.zeros((3, 2)), 0)
+        y0 = np.zeros((1, 3, 2))
 
         class Zero:
-            def predict_noise(self, k, yk, f):
-                return np.zeros((3, 2))
+            def forward_t(self, k, yk, f):
+                return Tensor(np.zeros((1, 6)))
 
         rng = np.random.default_rng(5)
         ref = np.random.default_rng(5)
-        ref.integers(1, 11)
-        eps = ref.standard_normal((3, 2))
-        assert diffusion_loss(y0, None, Zero(), sched, rng) == pytest.approx(
+        ref.integers(1, 11, size=1)
+        eps = ref.standard_normal((1, 3, 2))
+        assert float(diffusion_loss(y0, None, Zero(), sched, rng).data) == pytest.approx(
             float(np.mean(eps ** 2)))
 
 
