@@ -112,7 +112,7 @@ def _check_values(cfg: dict) -> None:
     """Build each config object once, so that a bad value is a config error
     naming its section and key rather than a failure deep inside a command."""
     sampler = lambda c: total_evals(c["sampler"]["rule"], _sampler_config(c))  # checks the rule
-    for section, build in (("schedule", _schedule), ("sampler", sampler),
+    for section, build in (("schedule", _schedule), ("sampler", sampler), ("model", _model_config),
                            ("train", _train_config), ("synthetic", _scene_config)):
         try:
             build(cfg)
@@ -121,6 +121,10 @@ def _check_values(cfg: dict) -> None:
     if not 0.0 <= cfg["train"]["val_fraction"] < 1.0:
         raise ConfigError(f"[train] val_fraction must lie in [0, 1), "
                           f"got {cfg['train']['val_fraction']}")
+    if cfg["data"]["stride"] < 1:
+        raise ConfigError(f"[data] stride must be >= 1, got {cfg['data']['stride']}")
+    if cfg["eval"]["ttst"] and cfg["eval"]["n_ttst"] < cfg["sampler"]["N"]:
+        raise ConfigError(f"[eval] n_ttst must be >= sampler.N, got {cfg['eval']['n_ttst']}")
 
 
 def write_snapshot(cfg: dict, path) -> None:
@@ -142,15 +146,7 @@ def _scene_config(cfg: dict) -> SyntheticSceneConfig:
 
 
 def _model_config(cfg: dict) -> ModelConfig:
-    m = cfg["model"]
-    return ModelConfig(t_h=m["t_h"], t_f=m["t_f"], d_f=m["d_f"],
-                       encoder_hidden=m["encoder_hidden"],
-                       denoiser_width=m["denoiser_width"],
-                       denoiser_blocks=m["denoiser_blocks"],
-                       embed_dim=m["embed_dim"],
-                       goal_base_channels=m["goal_base_channels"],
-                       sigma_px=m["sigma_px"], agent_centric=m["agent_centric"],
-                       init_seed=cfg["run"]["seed"])
+    return ModelConfig(**cfg["model"], init_seed=cfg["run"]["seed"])
 
 
 def _sampler_config(cfg: dict, k_t: int | None = None) -> SamplerConfig:
@@ -283,6 +279,12 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_bench(cfg: dict) -> int:
+    # not checked on load: only bench reads trunk_steps, and "5,20,50" needs K >= 50
+    try:
+        trunk_steps = tuple(_sampler_config(cfg, int(v)).K_t  # checks 0 <= K_t <= K
+                            for v in cfg["eval"]["trunk_steps"].split(","))
+    except ValueError as e:
+        raise ConfigError(f"[eval] trunk_steps: {e}") from e
     out = Path(cfg["run"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     windows, sem = _load_dataset(cfg)
@@ -290,7 +292,6 @@ def cmd_bench(cfg: dict) -> int:
     val = val[:cfg["eval"]["max_windows"]]
     model = _load_model(cfg)
     schedule = _schedule(cfg)
-    trunk_steps = tuple(int(v) for v in cfg["eval"]["trunk_steps"].split(","))
     ttst = TTSTConfig(cfg["eval"]["n_ttst"]) if cfg["eval"]["ttst"] else None
     rows = bench_samplers(model, val, sem, schedule, _sampler_config(cfg),
                           trunk_steps=trunk_steps, seed=cfg["run"]["seed"],

@@ -117,15 +117,12 @@ def tail_windows(tracks: list[Track], t_h: int = 8, t_f: int = 12) -> list[Traje
     does). For goal-directed tracks this makes the future endpoint the goal."""
     out = []
     for track in tracks:
-        best = None
-        for w in make_windows([track], t_h, t_f, stride=1):
-            if best is None or w.frame_base > best.frame_base:
-                best = w
-        if best is not None:
-            out.append(best)
+        windows = make_windows([track], t_h, t_f, stride=1)  # in frame order
+        if windows:
+            out.append(windows[-1])
     return out
 
-    """Partition windows into (train, test); test holds every window of `test_scene`."""
+
 def leave_one_scene_out(windows: list[TrajectoryWindow], test_scene: str):
     """Partition windows into (train, test) with `test_scene` as the test scene."""
     scenes = {w.scene_id for w in windows}
@@ -168,13 +165,11 @@ class SyntheticSceneConfig:
 def make_semantic_grid(cfg: SyntheticSceneConfig) -> SemanticGrid:
     """Two channels: walkable and obstacle occupancy."""
     spec = cfg.grid_spec()
+    centers = spec.pixel_to_world(*np.ogrid[:spec.H, :spec.W])  # (H, W, 2)
+    x, y = centers[..., 0], centers[..., 1]
     obstacle = np.zeros((spec.H, spec.W))
     for x0, y0, x1, y1 in cfg.obstacles:
-        for r in range(spec.H):
-            for c in range(spec.W):
-                px = spec.pixel_to_world(r, c)
-                if x0 <= px[0] <= x1 and y0 <= px[1] <= y1:
-                    obstacle[r, c] = 1.0
+        obstacle[(x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)] = 1.0
     return SemanticGrid(spec, np.stack([1.0 - obstacle, obstacle]))
 
 

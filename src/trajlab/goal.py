@@ -1,9 +1,10 @@
 """Heat-map goal prediction: rasterization, grid predictor, goal selection.
 
-World coordinates are meters; grids map world points to pixel centers through
-an affine GridSpec. The predictor is a small encoder-decoder convnet with
-skip connections that turns stacked history heat-maps plus the semantic grid
-into per-frame future heat-maps; the last channel is the goal distribution.
+World coordinates are meters; GridSpec is the one affine map between world
+points and pixel centers, and it maps whole arrays of points at once. The
+predictor is a small encoder-decoder convnet with skip connections that turns
+stacked history heat-maps plus the semantic grid into per-frame future
+heat-maps; the last channel is the goal distribution.
 Goal selection draws diverse goals categorically (optionally oversampled and
 clustered, the test-time sampling trick) and takes the argmax pixel as the
 common goal.
@@ -30,27 +31,30 @@ class GridSpec:
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
 
-    def world_to_pixel(self, pos) -> tuple[float, float]:
-        """Continuous (row, col) pixel coordinates of a world point."""
-        x, y = np.asarray(pos, dtype=np.float64)
-        col = (x - self.origin[0]) / self.resolution
-        row = (y - self.origin[1]) / self.resolution
+    def world_to_pixel(self, pos) -> tuple:
+        """Continuous (rows, cols) pixel coordinates of (..., 2) world points."""
+        pos = np.asarray(pos, dtype=np.float64)
+        col = (pos[..., 0] - self.origin[0]) / self.resolution
+        row = (pos[..., 1] - self.origin[1]) / self.resolution
         return row, col
 
     def pixel_to_world(self, row, col) -> np.ndarray:
-        return np.array([self.origin[0] + col * self.resolution,
-                         self.origin[1] + row * self.resolution])
+        """(..., 2) world points of broadcastable row/col pixel coordinates."""
+        x = self.origin[0] + col * self.resolution
+        y = self.origin[1] + row * self.resolution
+        return np.stack(np.broadcast_arrays(x, y), axis=-1)
 
-    def contains(self, pos) -> bool:
+    def contains(self, pos):
+        """Whether each of the (..., 2) world points lies inside the grid extent."""
         row, col = self.world_to_pixel(pos)
-        return -0.5 <= row <= self.H - 0.5 and -0.5 <= col <= self.W - 0.5
+        return ((-0.5 <= row) & (row <= self.H - 0.5)
+                & (-0.5 <= col) & (col <= self.W - 0.5))
 
 
 @dataclass
 class HeatMapStack:
     grid: GridSpec
     channels: np.ndarray  # (T, H, W)
-    normalized: bool = False
 
     def __post_init__(self):
         self.channels = np.asarray(self.channels, dtype=np.float64)
@@ -58,10 +62,6 @@ class HeatMapStack:
             raise ValueError("channels must be (T, H, W)")
         if not np.all(np.isfinite(self.channels)) or np.any(self.channels < 0):
             raise ValueError("heat-map values must be finite and non-negative")
-        if self.normalized:
-            sums = self.channels.sum(axis=(1, 2))
-            if np.any(np.abs(sums - 1.0) > 1e-6):
-                raise ValueError("normalized stack channels must sum to 1")
 
 
 @dataclass
@@ -81,24 +81,22 @@ class GoalSet:
     common: np.ndarray  # (2,) world coords
 
 
-def rasterize_gaussian(pos, grid: GridSpec, sigma_px: float) -> np.ndarray:
-    """Isotropic Gaussian centred on `pos`, evaluated at pixel centers, sum 1."""
+def rasterize_points(points: np.ndarray, grid: GridSpec, sigma_px: float) -> np.ndarray:
+    """Isotropic Gaussians on (..., 2) world points at pixel centers: (..., H, W),
+    each sum 1. A point outside the grid is an error naming the first (row-major)."""
     if sigma_px <= 0:
         raise ValueError("sigma_px must be positive")
-    if not grid.contains(pos):
-        raise ValueError(f"position {pos} outside grid extent")
-    return rasterize_points(np.asarray(pos, dtype=np.float64)[None], grid, sigma_px)[0]
-
-
-def rasterize_points(points: np.ndarray, grid: GridSpec, sigma_px: float) -> np.ndarray:
-    """Vectorized rasterization: (M, 2) world points -> (M, H, W), each sum 1."""
-    rows = (points[:, 1] - grid.origin[1]) / grid.resolution
-    cols = (points[:, 0] - grid.origin[0]) / grid.resolution
-    rr = np.arange(grid.H)[None, :, None]
-    cc = np.arange(grid.W)[None, None, :]
-    d2 = (rr - rows[:, None, None]) ** 2 + (cc - cols[:, None, None]) ** 2
+    points = np.asarray(points, dtype=np.float64)
+    inside = grid.contains(points).ravel()
+    if not np.all(inside):
+        i = int(np.argmin(inside))
+        raise ValueError(f"position {i} {points.reshape(-1, 2)[i].tolist()} outside grid extent")
+    rows, cols = grid.world_to_pixel(points)
+    rr = np.arange(grid.H)[:, None]
+    cc = np.arange(grid.W)[None, :]
+    d2 = (rr - rows[..., None, None]) ** 2 + (cc - cols[..., None, None]) ** 2
     maps = np.exp(-0.5 * d2 / sigma_px ** 2)
-    return maps / maps.sum(axis=(1, 2), keepdims=True)
+    return maps / maps.sum(axis=(-2, -1), keepdims=True)
 
 
 class GoalNet:
@@ -170,10 +168,10 @@ class TTSTConfig:
 
 def _kmeans(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> np.ndarray:
     """k-means with seeded farthest-point initialization; returns (k, 2) centers."""
-    first = int(rng.integers(len(points)))
-    centers = [points[first]]
+    centers = [points[int(rng.integers(len(points)))]]
+    d2 = np.full(len(points), np.inf)  # squared distance to the nearest chosen center
     for _ in range(k - 1):
-        d2 = np.min([np.sum((points - c) ** 2, axis=1) for c in centers], axis=0)
+        d2 = np.minimum(d2, np.sum((points - centers[-1]) ** 2, axis=1))
         centers.append(points[int(np.argmax(d2))])
     centers = np.array(centers)
     for _ in range(iters):
@@ -199,7 +197,7 @@ def select_goals(goal_map: np.ndarray, grid: GridSpec, N: int,
         raise ValueError("degenerate goal map (sum 0)")
     p = (goal_map / total).ravel()
     flat_argmax = int(np.argmax(goal_map))
-    common = grid.pixel_to_world(flat_argmax // grid.W, flat_argmax % grid.W)
+    common = grid.pixel_to_world(*divmod(flat_argmax, grid.W))
 
     n_draw = N
     if ttst is not None:
@@ -207,7 +205,7 @@ def select_goals(goal_map: np.ndarray, grid: GridSpec, N: int,
             raise ValueError("TTST sample count must be >= N")
         n_draw = ttst.n_samples
     idx = rng.choice(p.size, size=n_draw, p=p)
-    pts = np.stack([grid.pixel_to_world(i // grid.W, i % grid.W) for i in idx])
+    pts = grid.pixel_to_world(*np.divmod(idx, grid.W))
     if ttst is not None and n_draw > N:
         diverse = _kmeans(pts, N, ttst.kmeans_iters, rng)
     else:

@@ -36,6 +36,12 @@ class ModelConfig:
     agent_centric: bool = True
     init_seed: int = 0
 
+    def __post_init__(self):
+        if self.t_h < 2:
+            raise ValueError(f"t_h must be >= 2 (velocities need two frames), got {self.t_h}")
+        if self.t_f < 1:
+            raise ValueError(f"t_f must be >= 1, got {self.t_f}")
+
 
 class PredictionModel:
     def __init__(self, cfg: ModelConfig, grid: GridSpec):
@@ -66,6 +72,9 @@ class PredictionModel:
     def load(cls, path) -> "PredictionModel":
         arrays = nncore.load_checkpoint(path)
         kwargs = {}
+        for key in [f"cfg.{name}" for name in vars(ModelConfig())] + ["grid.spec"]:
+            if key not in arrays:
+                raise ValueError(f"checkpoint missing {key!r}")
         for field_name, default in vars(ModelConfig()).items():
             raw = arrays[f"cfg.{field_name}"]
             kwargs[field_name] = type(default)(raw)

@@ -82,19 +82,15 @@ class Trainer:
 
     # target maps peak at 1 so the per-pixel BCE has a meaningful positive class
     def _target_maps(self, futures: np.ndarray) -> np.ndarray:
-        b, t_f, _ = futures.shape
-        maps = rasterize_points(futures.reshape(-1, 2), self.model.grid,
-                                self.model.cfg.sigma_px)
-        maps /= maps.max(axis=(1, 2), keepdims=True)
-        return maps.reshape(b, t_f, *maps.shape[1:])
+        maps = rasterize_points(futures, self.model.grid, self.model.cfg.sigma_px)
+        return maps / maps.max(axis=(-2, -1), keepdims=True)
 
     def _batch_losses(self, histories: np.ndarray, futures: np.ndarray):
         model = self.model
         mcfg = model.cfg
 
         # goal branch
-        hist_maps = rasterize_points(histories.reshape(-1, 2), model.grid, mcfg.sigma_px)
-        hist_maps = hist_maps.reshape(len(histories), mcfg.t_h, model.grid.H, model.grid.W)
+        hist_maps = rasterize_points(histories, model.grid, mcfg.sigma_px)
         sem_b = np.broadcast_to(self.sem.channels, (len(histories),) + self.sem.channels.shape)
         x = np.concatenate([hist_maps, sem_b], axis=1)
         logits = model.goal_net.forward_t(Tensor(x))
@@ -111,8 +107,7 @@ class Trainer:
             # the trajectory branch as plain numpy, so no gradient flows back
             # into the goal head (gradient stopping is structural here).
             flat = logits.data[:, -1].reshape(len(histories), -1).argmax(axis=1)
-            goals = np.stack([model.grid.pixel_to_world(i // model.grid.W, i % model.grid.W)
-                              for i in flat])
+            goals = model.grid.pixel_to_world(*np.divmod(flat, model.grid.W))
             goals_c = goals - origin
         f = model.encoder.forward_t(augment_batch(hist_c, goals_c))
         return l_goal, diffusion_loss(fut_c, f, model.denoiser, self.schedule, self.rng)

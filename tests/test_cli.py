@@ -86,12 +86,20 @@ class TestExitCodes:
         ("sampler.K_t=500", "K_t"),
         ("sampler.rule=euler", "euler"),
         ("train.val_fraction=1", "val_fraction"),
+        ("data.stride=0", "stride"),
+        ("model.t_h=1", "t_h"),
+        ("eval.n_ttst=5", "n_ttst"),
+        ("eval.trunk_steps=50 schedule.K=30", "trunk_steps"),
     ])
     def test_bad_config_value_is_2(self, override, key, capsys):
-        assert main(["train", "--set", override]) == EXIT_CONFIG
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("config error") and key in err
-        assert len(err.splitlines()) == 1
+        sets = [arg for item in override.split() for arg in ("--set", item)]
+        # only bench reads eval.trunk_steps; every other value is checked on load
+        commands = ("bench",) if key == "trunk_steps" else ("train", "predict", "bench")
+        for command in commands:
+            assert main([command] + sets) == EXIT_CONFIG
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("config error") and key in err
+            assert len(err.splitlines()) == 1
 
     def test_bad_env_seed_is_2(self, monkeypatch, capsys):
         monkeypatch.setenv("TRAJLAB_SEED", "abc")

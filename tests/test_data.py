@@ -126,6 +126,15 @@ class TestWindows:
         (w,) = tail_windows([track], 8, 12)
         np.testing.assert_array_equal(w.future[-1], track.xy[-1])
 
+    def test_tail_of_gapped_step10_track(self):
+        # step-10 frames 0..290 (30 frames), gap, 500..590 (10 frames, too
+        # short for a window): the tail is the last window before the gap
+        frames = np.concatenate([np.arange(0, 300, 10), np.arange(500, 600, 10)])
+        xy = np.stack([np.arange(40, dtype=float), np.zeros(40)], axis=1)
+        (w,) = tail_windows([Track("s", 0, frames, xy)], 8, 12)
+        assert w.frame_base == 100
+        np.testing.assert_array_equal(w.future[-1], xy[29])
+
     def test_tail_skips_short_tracks(self):
         assert tail_windows([straight_track(10)], 8, 12) == []
 
@@ -191,6 +200,16 @@ class TestSynthetic:
         assert sem.channels.shape == (2, cfg.grid_size, cfg.grid_size)
         assert np.allclose(sem.channels.sum(axis=0), 1.0)
         assert sem.channels[1].sum() > 0
+        # per-pixel reference; these edges fall on pixel centers (0.25 + 0.5 i)
+        boxes = ((6.25, 4.0, 8.0, 12.25), (0.0, 0.75, 1.25, 3.0))
+        cfg = SyntheticSceneConfig(obstacles=boxes)
+        grid = cfg.grid_spec()
+        want = np.zeros((grid.H, grid.W))
+        for r in range(grid.H):
+            for c in range(grid.W):
+                x, y = grid.pixel_to_world(r, c)
+                want[r, c] = any(x0 <= x <= x1 and y0 <= y <= y1 for x0, y0, x1, y1 in boxes)
+        assert np.array_equal(make_semantic_grid(cfg).channels[1], want)
 
     def test_bad_agent_count(self):
         with pytest.raises(ValueError):

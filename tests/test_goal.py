@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajlab.goal import (GoalNet, GridSpec, HeatMapStack, SemanticGrid,
-                          TTSTConfig, load_semantic_grid, predict_heatmaps,
-                          rasterize_gaussian, rasterize_points,
-                          save_semantic_grid, select_goals)
+                          TTSTConfig, _kmeans, load_semantic_grid, predict_heatmaps,
+                          rasterize_points, save_semantic_grid, select_goals)
 
 
 @pytest.fixture
@@ -37,54 +36,76 @@ class TestGridSpec:
         assert not grid.contains((9.0, 4.0))
         assert not grid.contains((-1.0, 4.0))
 
+    def test_array_forms_match_per_point_loop(self, grid, rng):
+        pts = rng.uniform(-2.0, 10.0, size=(4, 5, 2))
+        rows, cols = grid.world_to_pixel(pts)
+        inside = grid.contains(pts)
+        assert rows.shape == cols.shape == inside.shape == (4, 5)
+        assert inside.dtype == bool and inside.any() and not inside.all()
+        for i in np.ndindex(4, 5):
+            r, c = grid.world_to_pixel(pts[i])
+            assert rows[i].tobytes() == r.tobytes() and cols[i].tobytes() == c.tobytes()
+            assert inside[i] == grid.contains(pts[i])
+        pr = rng.integers(0, 16, size=(6, 1))
+        pc = rng.uniform(-1.0, 16.0, size=(1, 3))
+        world = grid.pixel_to_world(pr, pc)
+        assert world.shape == (6, 3, 2)
+        for i, j in np.ndindex(6, 3):
+            assert world[i, j].tobytes() == grid.pixel_to_world(pr[i, 0], pc[0, j]).tobytes()
+
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
             GridSpec(4, 4, (0.0, 0.0), 0.0)
 
 
+def rasterize_one(pos, grid, sigma_px):
+    return rasterize_points(np.asarray(pos, dtype=np.float64)[None], grid, sigma_px)[0]
+
+
 class TestRasterize:
     def test_sums_to_one(self, grid):
-        m = rasterize_gaussian((4.0, 4.0), grid, 1.5)
+        m = rasterize_one((4.0, 4.0), grid, 1.5)
         assert m.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(m >= 0)
 
     def test_peak_at_source_pixel(self, grid):
-        m = rasterize_gaussian((2.25, 6.25), grid, 1.0)
+        m = rasterize_one((2.25, 6.25), grid, 1.0)
         r, c = np.unravel_index(np.argmax(m), m.shape)
         assert (r, c) == grid.world_to_pixel((2.25, 6.25))
 
     def test_symmetry_about_center(self, grid):
         # center of the grid: pixel (7.5, 7.5)
-        m = rasterize_gaussian(grid.pixel_to_world(7.5, 7.5), grid, 2.0)
+        m = rasterize_one(grid.pixel_to_world(7.5, 7.5), grid, 2.0)
         assert np.allclose(m, m[::-1, :], atol=1e-12)
         assert np.allclose(m, m[:, ::-1], atol=1e-12)
         assert np.allclose(m, m.T, atol=1e-12)
 
     def test_batch_matches_single(self, grid, rng):
-        pts = rng.uniform(1.0, 7.0, size=(5, 2))
-        batch = rasterize_points(pts, grid, 1.2)
-        for i, p in enumerate(pts):
-            assert np.array_equal(batch[i], rasterize_gaussian(p, grid, 1.2))
+        # map i of a batch equals point i rasterized alone, for (M, 2) and (B, T, 2)
+        pts = rng.uniform(1.0, 7.0, size=(2, 3, 2))
+        for batch_pts in (pts.reshape(6, 2), pts):
+            batch = rasterize_points(batch_pts, grid, 1.2)
+            assert batch.shape == batch_pts.shape[:-1] + (16, 16)
+            for i in np.ndindex(batch_pts.shape[:-1]):
+                assert np.array_equal(batch[i], rasterize_one(batch_pts[i], grid, 1.2))
 
     def test_rejects_out_of_grid(self, grid):
-        with pytest.raises(ValueError):
-            rasterize_gaussian((20.0, 4.0), grid, 1.0)
+        with pytest.raises(ValueError, match="outside grid"):
+            rasterize_one((20.0, 4.0), grid, 1.0)
+        # the error names the first point outside
+        pts = np.array([[4.0, 4.0], [4.0, -3.0], [20.0, 4.0]])
+        with pytest.raises(ValueError, match=r"position 1 \[4\.0, -3\.0\] outside grid"):
+            rasterize_points(pts, grid, 1.0)
 
     def test_rejects_bad_sigma(self, grid):
         with pytest.raises(ValueError):
-            rasterize_gaussian((4.0, 4.0), grid, 0.0)
+            rasterize_one((4.0, 4.0), grid, 0.0)
 
 
 class TestHeatMapStack:
     def test_rejects_negative(self, grid):
         with pytest.raises(ValueError):
             HeatMapStack(grid, -np.ones((2, 16, 16)))
-
-    def test_normalized_flag_checks_sums(self, grid):
-        ok = np.ones((2, 16, 16)) / 256.0
-        HeatMapStack(grid, ok, normalized=True)
-        with pytest.raises(ValueError):
-            HeatMapStack(grid, np.ones((2, 16, 16)), normalized=True)
 
 
 class TestGoalNet:
@@ -121,7 +142,47 @@ class TestGoalNet:
             predict_heatmaps(sem, hist, net)
 
 
+def kmeans_init_reference(points, k, rng):
+    """Farthest-point init that recomputes every distance for each new center."""
+    centers = [points[int(rng.integers(len(points)))]]
+    for _ in range(k - 1):
+        d2 = np.min([np.sum((points - c) ** 2, axis=1) for c in centers], axis=0)
+        centers.append(points[int(np.argmax(d2))])
+    return np.array(centers)
+
+
+def select_goals_reference(goal_map, grid, N, ttst, rng):
+    """select_goals with one pixel_to_world call per draw."""
+    p = (goal_map / goal_map.sum()).ravel()
+    flat_argmax = int(np.argmax(goal_map))
+    common = grid.pixel_to_world(flat_argmax // grid.W, flat_argmax % grid.W)
+    n_draw = N if ttst is None else ttst.n_samples
+    idx = rng.choice(p.size, size=n_draw, p=p)
+    pts = np.stack([grid.pixel_to_world(i // grid.W, i % grid.W) for i in idx])
+    if ttst is not None and n_draw > N:
+        return common, _kmeans(pts, N, ttst.kmeans_iters, rng)
+    return common, pts[:N]
+
+
 class TestSelectGoals:
+    def test_kmeans_init_matches_reference(self, rng):
+        # with no update iterations _kmeans returns its initial centers
+        points = rng.integers(0, 6, size=(300, 2)).astype(float)  # many ties
+        for seed in range(5):
+            got = _kmeans(points, 8, 0, np.random.default_rng(seed))
+            want = kmeans_init_reference(points, 8, np.random.default_rng(seed))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("ttst", [None, TTSTConfig(n_samples=300, kmeans_iters=5)])
+    def test_matches_per_draw_reference(self, grid, rng, ttst):
+        for seed in range(5):
+            m = rng.uniform(size=(16, 16)) ** 4
+            gs = select_goals(m, grid, 6, ttst, np.random.default_rng(seed))
+            common, diverse = select_goals_reference(m, grid, 6, ttst,
+                                                     np.random.default_rng(seed))
+            assert gs.common.tobytes() == common.tobytes()
+            assert gs.diverse.tobytes() == diverse.tobytes()
+
     def test_common_is_argmax_pixel(self, grid):
         m = np.zeros((16, 16))
         m[3, 9] = 1.0

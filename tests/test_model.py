@@ -56,6 +56,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="shape mismatch"):
             PredictionModel.load(path)
 
+    def test_missing_config_key_rejected(self, setup, tmp_path):
+        model, _, _ = setup
+        path = tmp_path / "model.npz"
+        model.save(path)
+        import trajlab.nncore as nncore
+        arrays = nncore.load_checkpoint(path)
+        del arrays["cfg.t_h"]
+        nncore.save_checkpoint(path, arrays)
+        with pytest.raises(ValueError, match="cfg.t_h"):
+            PredictionModel.load(path)
+
 
 class TestPredictWindow:
     def test_output_shape_and_reproducibility(self, setup):
@@ -94,3 +105,11 @@ class TestPredictWindow:
         # approximately; compare relative displacement of the mean endpoints
         assert np.allclose(moved.mean(axis=(0, 1)) - base.mean(axis=(0, 1)),
                            shift, atol=2.0)
+
+    def test_history_outside_grid_rejected(self, setup):
+        model, sem, history = setup
+        scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3, t_f=3)
+        outside = history + np.array([8.0, 0.0])  # x = 10, 11, 12, 13 on a 12 m grid
+        with pytest.raises(ValueError, match=r"position 3 \[13\.0, 6\.0\] outside grid"):
+            model.predict_window(outside, sem, scfg, default_schedule(10), NoiseStream(0),
+                                 np.random.default_rng(0))
