@@ -8,7 +8,7 @@ environment variable overrides run.seed. Every run writes a resolved-config
 snapshot that can be fed back through any subcommand to reproduce it.
 
 Exit codes: 0 success, 2 configuration error, 3 missing input file,
-4 checkpoint/config mismatch.
+4 checkpoint/config mismatch or bad input file.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (SyntheticSceneConfig, generate_synthetic, make_windows,
-                   parse_trajectory_file, write_trajectory_file)
+from .data import (SyntheticSceneConfig, TrajectoryFileError, generate_synthetic,
+                   make_windows, parse_trajectory_file, write_trajectory_file)
 from .evaluation import (bench_samplers, best_of_n, read_predictions_json,
                          write_bench_csv, write_predictions_json)
 from .goal import TTSTConfig, load_semantic_grid, save_semantic_grid
@@ -59,6 +59,10 @@ DEFAULTS: dict[str, dict[str, object]] = {
 
 class ConfigError(ValueError):
     pass
+
+
+class InputFileError(ValueError):
+    """A dataset or predictions file that a command cannot use (exit 4)."""
 
 
 def _convert(section: str, key: str, raw: str):
@@ -176,9 +180,19 @@ def _load_dataset(cfg: dict):
         if not p.exists():
             raise FileNotFoundError(str(p))
     tracks = parse_trajectory_file(tracks_path, scene_id="synthetic")
-    sem = load_semantic_grid(grid_path)
+    try:
+        sem = load_semantic_grid(grid_path)
+    except ValueError as e:
+        raise InputFileError(str(e)) from e
     windows = make_windows(tracks, cfg["model"]["t_h"], cfg["model"]["t_f"],
                            cfg["data"]["stride"])
+    if windows:
+        points = np.stack([np.concatenate([w.history, w.future]) for w in windows])
+        outside = np.flatnonzero(~sem.grid.contains(points).all(axis=1))
+        if outside.size:
+            w = windows[outside[0]]
+            raise TrajectoryFileError(f"{tracks_path}: agent {w.agent_id}, window from frame "
+                                      f"{w.frame_base}: position outside the semantic grid")
     return windows, sem
 
 
@@ -264,6 +278,8 @@ def cmd_eval(cfg: dict) -> int:
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     records = read_predictions_json(path)
+    if not records:
+        raise InputFileError(f"{path}: no prediction records")
     with open(out / "displacement.csv", "w") as f:
         f.write("scene,agent,frame_base,ade,fde\n")
         ades, fdes = [], []
@@ -312,7 +328,7 @@ def main(argv=None) -> int:
         prog="trajlab",
         description="Goal-conditioned diffusion trajectory prediction with tree sampling.",
         epilog="Exit codes: 0 success, 2 config error, 3 missing input file, "
-               "4 checkpoint mismatch.")
+               "4 checkpoint mismatch or bad input file.")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
@@ -327,6 +343,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"missing file: {e}", file=sys.stderr)
         return EXIT_MISSING
+    except (InputFileError, TrajectoryFileError) as e:
+        print(f"bad input file: {e}", file=sys.stderr)
+        return EXIT_CHECKPOINT
     except ValueError as e:
         print(f"checkpoint/config mismatch: {e}", file=sys.stderr)
         return EXIT_CHECKPOINT

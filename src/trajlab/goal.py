@@ -232,13 +232,15 @@ def save_semantic_grid(path, sem: SemanticGrid) -> None:
 
 def load_semantic_grid(path) -> SemanticGrid:
     with open(path, "rb") as f:
-        header = f.readline().decode().split()
-        if header[0] != _GRID_MAGIC.decode() or int(header[1]) != _GRID_VERSION:
+        header = f.readline().decode(errors="replace").split()
+        if header[:2] != [_GRID_MAGIC.decode(), str(_GRID_VERSION)] or len(header) != 8:
             raise ValueError(f"{path}: not a recognized semantic grid file")
-        h, w, c = int(header[2]), int(header[3]), int(header[4])
-        ox, oy, res = float(header[5]), float(header[6]), float(header[7])
+        try:
+            h, w, c = int(header[2]), int(header[3]), int(header[4])
+            grid = GridSpec(h, w, (float(header[5]), float(header[6])), float(header[7]))
+        except ValueError as e:
+            raise ValueError(f"{path}: bad semantic grid header: {e}") from e
         payload = np.frombuffer(f.read(), dtype="<f4")
         if payload.size != c * h * w:
             raise ValueError(f"{path}: payload size {payload.size} != {c}*{h}*{w}")
-    grid = GridSpec(h, w, (ox, oy), res)
     return SemanticGrid(grid, payload.reshape(c, h, w).astype(np.float64))

@@ -11,6 +11,7 @@ its last tensor is dropped.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class NonFiniteError(RuntimeError):
@@ -255,15 +256,12 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    b, c, h, w = x.shape
+    b, c = x.shape[:2]
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (w + 2 * pad - kw) // stride + 1
-    cols = np.empty((b, c, kh, kw, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    return cols.reshape(b, c * kh * kw, ho * wo), ho, wo
+    # (b, c, ho, wo, kh, kw) view of every kernel window
+    patches = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    ho, wo = patches.shape[2:4]
+    return patches.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, ho * wo), ho, wo
 
 
 def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, pad, ho, wo):

@@ -1,12 +1,12 @@
-"""Reverse-process step rules and the trunk/branch tree-sampling loop.
+"""The reverse-process jump rule and the trunk/branch tree-sampling loop.
 
-Three step rules: stochastic DDPM, deterministic DDPM (noise term removed)
-and DDIM with eta-controlled stochasticity. Every sampler runs them through
-one reverse-chain loop over (k_hi, k_lo) index pairs: DDPM chains step
-k -> k-1, DDIM chains jump along a strided sub-sequence, and the tree sampler
-runs one deterministic d-DDPM trunk under the common feature followed by N
-DDIM branches under the diverse features. Finiteness is checked once per
-chain output.
+One jump rule, `y <- a y + b eps + sigma z` from schedule index k_hi down to
+k_lo (DDIM, Song et al. 2020), with two parameterisations: the (k_hi, k_lo)
+pairs, unit steps or a strided sub-sequence, and eta. DDPM is the unit-stride
+jump at eta = 1, and d-DDPM is DDPM without the noise draw. A chain's
+coefficients are computed once, then one loop applies them: the tree sampler
+runs a d-DDPM trunk under the common feature, then N DDIM branches that share
+one coefficient list. Finiteness is checked once per chain output.
 
 Trajectories are plain (t_f, 2) float64 arrays. Denoisers are passed in as
 callables `denoiser(k, y, f) -> eps`, where `f` is whatever conditioning
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schedule import NoiseSchedule, posterior_variance
+from .schedule import NoiseSchedule
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class NoiseStream:
         return NoiseStream(self._seed, self._spawn_key + (int(index),))
 
 
-# -- single-step rules --
+# -- forward process and reverse jump --
 
 
 def forward_noise(Y0: np.ndarray, k, eps: np.ndarray, s: NoiseSchedule) -> np.ndarray:
@@ -81,31 +81,11 @@ def forward_noise(Y0: np.ndarray, k, eps: np.ndarray, s: NoiseSchedule) -> np.nd
     return np.sqrt(abar) * Y0 + np.sqrt(1.0 - abar) * eps
 
 
-def d_ddpm_step(Yk: np.ndarray, k: int, eps_pred: np.ndarray, s: NoiseSchedule) -> np.ndarray:
-    """Deterministic DDPM update (stochastic rule with the noise term removed)."""
-    s._check(k)
-    alpha = s.alpha(k)
-    abar = s.alpha_bar(k)
-    return (Yk - (1.0 - alpha) / np.sqrt(1.0 - abar) * np.asarray(eps_pred)) / np.sqrt(alpha)
-
-
-def ddpm_step(Yk: np.ndarray, k: int, eps_pred: np.ndarray, z: np.ndarray,
-              s: NoiseSchedule) -> np.ndarray:
-    """Stochastic DDPM update: deterministic mean plus sqrt(posterior variance) z."""
-    z = np.asarray(z, dtype=np.float64)
-    if k == 1 and np.any(z != 0.0):
-        raise ValueError("z must be zero at the final step (k=1)")
-    mean = d_ddpm_step(Yk, k, eps_pred, s)
-    return mean + np.sqrt(posterior_variance(s, k)) * z
-
-
-def ddim_sigma(s: NoiseSchedule, k: int, eta: float) -> float:
-    """DDIM noise scale for a single-index step k -> k-1."""
-    return ddim_sigma_pair(s, k, k - 1, eta)
-
-
-def ddim_sigma_pair(s: NoiseSchedule, k_hi: int, k_lo: int, eta: float) -> float:
-    """DDIM noise scale for a jump from schedule index k_hi down to k_lo."""
+def step_coefficients(s: NoiseSchedule, k_hi: int, k_lo: int,
+                      eta: float) -> tuple[float, float, float]:
+    """The jump k_hi -> k_lo as `y <- a y + b eps + sigma z` (DDIM, eta-scaled
+    sigma). A unit jump at eta = 1 is the DDPM step, sigma^2 its posterior
+    variance."""
     if eta < 0.0:
         raise ValueError("eta must be non-negative")
     if not 0 <= k_lo < k_hi <= s.K:
@@ -113,25 +93,11 @@ def ddim_sigma_pair(s: NoiseSchedule, k_hi: int, k_lo: int, eta: float) -> float
     abar_hi = s.alpha_bar(k_hi)
     abar_lo = s.alpha_bar(k_lo)
     radicand = eta * (1.0 - abar_lo) / (1.0 - abar_hi) * (1.0 - abar_hi / abar_lo)
-    return float(np.sqrt(max(radicand, 0.0)))
-
-
-def ddim_step(Yk: np.ndarray, k_hi: int, k_lo: int, eps_pred: np.ndarray,
-              z: np.ndarray, eta: float, s: NoiseSchedule) -> np.ndarray:
-    """DDIM update jumping from schedule index k_hi to k_lo."""
-    if k_lo >= k_hi:
-        raise ValueError(f"k_lo must be < k_hi, got ({k_hi}, {k_lo})")
-    sigma = ddim_sigma_pair(s, k_hi, k_lo, eta)
-    z = np.asarray(z, dtype=np.float64)
-    if (sigma == 0.0 or k_lo == 0) and np.any(z != 0.0):
-        raise ValueError("z must be zero when sigma is 0 or the jump ends at index 0")
-    abar_hi = s.alpha_bar(k_hi)
-    abar_lo = s.alpha_bar(k_lo)
-    eps_coef = (np.sqrt(max(1.0 - abar_lo - sigma ** 2, 0.0))
-                - np.sqrt(abar_lo * (1.0 - abar_hi) / abar_hi))
-    return (np.sqrt(abar_lo / abar_hi) * Yk
-            + eps_coef * np.asarray(eps_pred)
-            + sigma * z)
+    sigma = float(np.sqrt(max(radicand, 0.0)))
+    a = np.sqrt(abar_lo / abar_hi)
+    b = (np.sqrt(max(1.0 - abar_lo - sigma ** 2, 0.0))
+         - np.sqrt(abar_lo * (1.0 - abar_hi) / abar_hi))
+    return a, b, sigma
 
 
 # -- step-count bookkeeping --
@@ -160,6 +126,11 @@ def ddim_subsequence(K: int, K_t: int, K_b: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def _unit_pairs(K: int, n_steps: int) -> list[tuple[int, int]]:
+    """The first n_steps unit pairs (k, k - 1) down from K."""
+    return [(k, k - 1) for k in range(K, K - n_steps, -1)]
+
+
 def total_evals(rule: str, cfg: SamplerConfig) -> int:
     """Closed-form denoiser evaluation count for a full N-prediction run."""
     if rule in ("ddpm", "d_ddpm"):
@@ -174,28 +145,22 @@ def total_evals(rule: str, cfg: SamplerConfig) -> int:
 # -- full chains --
 
 
-def _step_rule(rule: str, eta: float, s: NoiseSchedule, stream: NoiseStream | None):
-    """The `(y, k_hi, k_lo, eps) -> y` update of one rule. DDPM steps k_hi to
-    k_hi - 1; DDIM jumps to k_lo. Stochastic rules draw z from `stream`."""
-    if rule == "d_ddpm":
-        return lambda y, k, _, eps: d_ddpm_step(y, k, eps, s)
-    if rule == "ddpm":
-        return lambda y, k, _, eps: ddpm_step(
-            y, k, eps, stream.normal(y.shape) if k > 1 else np.zeros_like(y), s)
-
-    def ddim(y, k_hi, k_lo, eps):
-        if ddim_sigma_pair(s, k_hi, k_lo, eta) > 0.0 and k_lo > 0:
-            z = stream.normal(y.shape)
-        else:
-            z = np.zeros_like(y)
-        return ddim_step(y, k_hi, k_lo, eps, z, eta, s)
-    return ddim
-
-
-def _reverse_chain(y: np.ndarray, pairs, denoiser, f, step, name: str) -> np.ndarray:
-    """Run `step` over the (k_hi, k_lo) pairs, one denoiser eval per pair."""
+def _chain_rows(s: NoiseSchedule, pairs, eta: float, stochastic: bool) -> list[tuple]:
+    """One `(k_hi, a, b, sigma, draw)` row per (k_hi, k_lo) pair. A row draws
+    noise when the rule is stochastic, sigma > 0 and the jump ends above 0."""
+    rows = []
     for k_hi, k_lo in pairs:
-        y = step(y, k_hi, k_lo, denoiser(k_hi, y, f))
+        a, b, sigma = step_coefficients(s, k_hi, k_lo, eta)
+        rows.append((k_hi, a, b, sigma, stochastic and sigma > 0.0 and k_lo > 0))
+    return rows
+
+
+def _reverse_chain(y: np.ndarray, rows, denoiser, f, stream, name: str) -> np.ndarray:
+    """Apply the rows' updates in order, one denoiser eval per row."""
+    for k_hi, a, b, sigma, draw in rows:
+        y = a * y + b * denoiser(k_hi, y, f)
+        if draw:
+            y = y + sigma * stream.normal(y.shape)
     if not np.all(np.isfinite(y)):
         raise ValueError(f"{name} produced non-finite values")
     return y
@@ -216,12 +181,11 @@ def tree_sample(denoiser, f_common, f_diverse: list, cfg: SamplerConfig,
     Denoiser cost is K_t + N * K_b regardless of how the branches interleave.
     """
     _check_run(cfg, s, len(f_diverse))
-    trunk = [(k, k - 1) for k in range(cfg.K, cfg.K - cfg.K_t, -1)]
-    y = _reverse_chain(rng.normal((cfg.t_f, 2)), trunk, denoiser, f_common,
-                       _step_rule("d_ddpm", cfg.eta, s, None), "trunk")
+    trunk = _chain_rows(s, _unit_pairs(cfg.K, cfg.K_t), 1.0, stochastic=False)
+    y = _reverse_chain(rng.normal((cfg.t_f, 2)), trunk, denoiser, f_common, None, "trunk")
     pairs = ddim_subsequence(cfg.K, cfg.K_t, branch_step_count(cfg.K, cfg.K_I, cfg.K_t))
-    return [_reverse_chain(y, pairs, denoiser, f_n, _step_rule("ddim", cfg.eta, s, rng.fork(n)),
-                           f"branch {n}")
+    branch = _chain_rows(s, pairs, cfg.eta, stochastic=True)
+    return [_reverse_chain(y, branch, denoiser, f_n, rng.fork(n), f"branch {n}")
             for n, f_n in enumerate(f_diverse)]
 
 
@@ -238,9 +202,8 @@ def sample_standard(denoiser, f: list, cfg: SamplerConfig, s: NoiseSchedule,
     _check_run(cfg, s, len(f))
     y_init = rng.normal((cfg.t_f, 2))
     if rule == "ddim":
-        pairs = ddim_subsequence(cfg.K, 0, cfg.K_I)
+        rows = _chain_rows(s, ddim_subsequence(cfg.K, 0, cfg.K_I), cfg.eta, stochastic=True)
     else:
-        pairs = [(k, k - 1) for k in range(cfg.K, 0, -1)]
-    return [_reverse_chain(y_init, pairs, denoiser, f_n,
-                           _step_rule(rule, cfg.eta, s, rng.fork(n)), f"{rule} chain {n}")
+        rows = _chain_rows(s, _unit_pairs(cfg.K, cfg.K), 1.0, stochastic=rule == "ddpm")
+    return [_reverse_chain(y_init, rows, denoiser, f_n, rng.fork(n), f"{rule} chain {n}")
             for n, f_n in enumerate(f)]

@@ -15,8 +15,8 @@ import numpy as np
 @dataclass(frozen=True)
 class NoiseSchedule:
     betas: np.ndarray
-    alphas: np.ndarray = field(repr=False, default=None)
-    alpha_bars: np.ndarray = field(repr=False, default=None)
+    alphas: np.ndarray = field(init=False, repr=False)
+    alpha_bars: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=np.float64)

@@ -6,6 +6,7 @@ failure). Tolerances and runtime budgets are asserted, not just reported.
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from trajlab.model import ModelConfig, PredictionModel, default_schedule
 from trajlab.nncore import (Dense, LSTMCell, Parameter, Tensor, concat, conv2d,
                             upsample2x)
 from trajlab.sampler import (NoiseStream, SamplerConfig, branch_step_count,
-                             d_ddpm_step, ddim_sigma, ddpm_step, forward_noise, sample_standard,
+                             forward_noise, sample_standard, step_coefficients,
                              total_evals, tree_sample)
 from trajlab.schedule import NoiseSchedule, make_linear_schedule, posterior_variance
 from trajlab.train import TrainConfig, Trainer
@@ -48,7 +49,7 @@ def test_criterion_01_ddim_sigma_matches_posterior_variance():
     for _ in range(1000):
         s = random_schedule(rng)
         k = int(rng.integers(2, s.K + 1))
-        sig2 = ddim_sigma(s, k, 1.0) ** 2
+        sig2 = step_coefficients(s, k, k - 1, 1.0)[2] ** 2
         ref = posterior_variance(s, k)
         worst = max(worst, abs(sig2 - ref) / ref)
     elapsed = time.perf_counter() - start
@@ -131,15 +132,17 @@ def test_criterion_04_deterministic_chains_are_bit_reproducible():
               for _ in range(10)]
     repro &= all(np.array_equal(chains[0], c) for c in chains[1:])
 
-    rng = np.random.default_rng(406)
+    # DDPM fed zero noise: every forked chain stream draws zeros
+    class ZeroForks(NoiseStream):
+        def fork(self, index):
+            return SimpleNamespace(normal=np.zeros)
+
     zero_z = True
-    for _ in range(50):
-        k = int(rng.integers(1, 61))
-        y = rng.standard_normal((6, 2))
-        eps = rng.standard_normal((6, 2))
-        a = ddpm_step(y, k, eps, np.zeros((6, 2)), s)
-        b = d_ddpm_step(y, k, eps, s)
-        zero_z &= np.array_equal(a, b)
+    for seed in range(406, 416):
+        fs = [1.0, 2.0, 3.0]
+        a = sample_standard(stub, fs, cfg, s, ZeroForks(seed), "ddpm")
+        b = sample_standard(stub, fs, cfg, s, NoiseStream(seed), "d_ddpm")
+        zero_z &= all(np.array_equal(x, y) for x, y in zip(a, b))
     report(4, repro and zero_z,
            "10x bit-identical deterministic chains/trunks; DDPM(z=0) == d-DDPM")
 
@@ -372,6 +375,7 @@ def desk_run():
     return model, sem, schedule, grid, anchors, val_w, start
 
 
+@pytest.mark.slow
 def test_criterion_08_end_to_end_desk_scale(desk_run):
     model, sem, schedule, grid, anchors, val_w, start = desk_run
 

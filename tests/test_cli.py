@@ -5,6 +5,7 @@ import pytest
 
 from trajlab.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_MISSING,
                          ConfigError, load_config, main, write_snapshot)
+from trajlab.goal import GridSpec, SemanticGrid, save_semantic_grid
 
 SMALL = [
     "--set", "synthetic.n_agents=40", "--set", "synthetic.grid_size=16",
@@ -126,6 +127,67 @@ class TestExitCodes:
                     + ["--set", f"data.dataset_dir={data_dir}",
                        "--set", f"eval.checkpoint={tmp_path / 'data' / 'semantic.grid'}"])
         assert code == EXIT_CHECKPOINT
+
+
+def write_dataset(data_dir, agents: dict, grid_bytes: bytes | None = None) -> None:
+    """tracks.txt with 20 frames (step 10) per agent, one straight walk
+    `(first frame, start xy, velocity per frame)` each, and a 16 x 16 m grid."""
+    data_dir.mkdir()
+    lines = []
+    for agent, (frame0, start, velocity) in agents.items():
+        for i in range(20):
+            x, y = np.add(start, np.multiply(velocity, i))
+            lines.append(f"{frame0 + 10 * i} {agent} {x:.3f} {y:.3f}")
+    (data_dir / "tracks.txt").write_text("\n".join(lines) + "\n")
+    if grid_bytes is None:
+        save_semantic_grid(data_dir / "semantic.grid",
+                           SemanticGrid(GridSpec(16, 16, (0.5, 0.5), 1.0), np.ones((1, 16, 16))))
+    else:
+        (data_dir / "semantic.grid").write_bytes(grid_bytes)
+
+
+class TestBadInputFiles:
+    def one_line_error(self, capsys) -> str:
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and "checkpoint" not in err
+        return err
+
+    def test_track_outside_grid_names_agent_and_frame(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        # agent 2 walks out of the grid (x > 16.5) in its last frames
+        write_dataset(data_dir, {1: (0, (2.0, 8.0), (0.3, 0.0)),
+                                 2: (100, (8.0, 8.0), (0.5, 0.0))})
+        for command in ("train", "predict"):
+            assert run(tmp_path / "run", command, "--set", f"data.dataset_dir={data_dir}") \
+                == EXIT_CHECKPOINT
+            err = self.one_line_error(capsys)
+            assert "tracks.txt" in err and "agent 2" in err and "frame 100" in err
+
+    def test_malformed_tracks_line_is_one_line(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, {1: (0, (2.0, 8.0), (0.3, 0.0))})
+        with open(data_dir / "tracks.txt", "a") as f:
+            f.write("300 1 4.0\n")
+        assert run(tmp_path / "run", "train", "--set", f"data.dataset_dir={data_dir}") \
+            == EXIT_CHECKPOINT
+        assert "tracks.txt:21:" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize("grid_bytes", [b"", b"TRAJGRID 1 16\n"])
+    def test_empty_or_short_grid_is_one_line(self, tmp_path, capsys, grid_bytes):
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, {1: (0, (2.0, 8.0), (0.3, 0.0))}, grid_bytes)
+        assert run(tmp_path / "run", "train", "--set", f"data.dataset_dir={data_dir}") \
+            == EXIT_CHECKPOINT
+        assert "semantic.grid" in self.one_line_error(capsys)
+
+    def test_eval_without_records_is_4(self, tmp_path, capsys):
+        path = tmp_path / "predictions.json"
+        path.write_text("[]")
+        assert run(tmp_path / "run", "eval", "--set", f"eval.predictions={path}") \
+            == EXIT_CHECKPOINT
+        err = self.one_line_error(capsys)
+        assert "predictions.json" in err and "nan" not in err.lower()
+        assert not (tmp_path / "run" / "displacement.csv").exists()
 
 
 @pytest.fixture(scope="module")

@@ -255,6 +255,15 @@ class TestGridFile:
         with pytest.raises(ValueError):
             load_semantic_grid(path)
 
+    @pytest.mark.parametrize("content", [b"", b"\n", b"TRAJGRID 1 4 4\n",
+                                         b"TRAJGRID 1 4 x 1 0 0 1\n",
+                                         b"TRAJGRID 1 4 4 1 0 0 0\n"])
+    def test_empty_or_short_header_names_the_file(self, tmp_path, content):
+        path = tmp_path / "short.grid"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="short.grid"):
+            load_semantic_grid(path)
+
     def test_truncated_payload_rejected(self, tmp_path):
         grid = GridSpec(4, 4, (0.0, 0.0), 1.0)
         sem = SemanticGrid(grid, np.ones((1, 4, 4)))

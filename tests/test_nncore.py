@@ -88,6 +88,25 @@ class TestConvUpsampleGrads:
         out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)))
         assert np.array_equal(out.data, x)
 
+    @pytest.mark.parametrize("stride, pad, size", [(1, 1, 6), (2, 1, 7), (2, 0, 8), (1, 0, 5)])
+    def test_conv2d_forward_matches_direct_loops(self, rng, stride, pad, size):
+        x = rng.standard_normal((2, 3, size, size + 1))
+        w = rng.standard_normal((4, 3, 3, 3))
+        b = rng.standard_normal(4)
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        ho = (size + 2 * pad - 3) // stride + 1
+        wo = (size + 1 + 2 * pad - 3) // stride + 1
+        ref = np.empty((2, 4, ho, wo))
+        for n in range(2):
+            for o in range(4):
+                for i in range(ho):
+                    for j in range(wo):
+                        window = xp[n, :, i * stride:i * stride + 3, j * stride:j * stride + 3]
+                        ref[n, o, i, j] = np.sum(window * w[o]) + b[o]
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, pad=pad)
+        assert out.data.shape == ref.shape
+        assert np.allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+
     def test_conv2d_grads(self, rng):
         x = rng.standard_normal((2, 3, 5, 5))
         w = rng.standard_normal((4, 3, 3, 3)) * 0.3

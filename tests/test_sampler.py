@@ -1,13 +1,15 @@
+from types import SimpleNamespace
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajlab import sampler
 from trajlab.sampler import (NoiseStream, SamplerConfig, branch_step_count,
-                             d_ddpm_step, ddim_sigma, ddim_step, ddim_subsequence, ddpm_step,
-                             forward_noise, sample_standard, total_evals,
-                             tree_sample)
+                             ddim_subsequence, forward_noise, sample_standard,
+                             step_coefficients, total_evals, tree_sample)
 from trajlab.schedule import NoiseSchedule, make_linear_schedule
 
 T_F = 12
@@ -61,6 +63,27 @@ class TestForwardNoise:
             assert np.array_equal(batch[i], forward_noise(y0[i], int(k[i]), eps[i], s))
 
 
+class _ZeroNoiseForks:
+    """Stream stub: the initial draw comes from a real NoiseStream; its forks
+    draw zeros, count the draws in `draws` and call `on_draw` at each one."""
+
+    def __init__(self, seed: int, on_draw=lambda: None):
+        self._parent = NoiseStream(seed)
+        self._on_draw = on_draw
+        self.draws = 0
+
+    def normal(self, shape) -> np.ndarray:
+        return self._parent.normal(shape)
+
+    def fork(self, index: int) -> SimpleNamespace:
+        return SimpleNamespace(normal=self._zeros)
+
+    def _zeros(self, shape) -> np.ndarray:
+        self.draws += 1
+        self._on_draw()
+        return np.zeros(shape)
+
+
 class TestDDPMSteps:
     def test_d_ddpm_scalar_case(self):
         # alpha_k = 0.99, abar_k = 0.9, eps_pred = 0.5 -> 0.989147
@@ -68,66 +91,73 @@ class TestDDPMSteps:
         with mpmath.workdps(40):
             a, ab, e = mpmath.mpf("0.99"), mpmath.mpf("0.9"), mpmath.mpf("0.5")
             expected = float((1 / mpmath.sqrt(a)) * (1 - (1 - a) / mpmath.sqrt(1 - ab) * e))
-        out = d_ddpm_step(traj(1.0), 2, np.full((T_F, 2), 0.5), s)
+        a, b, _ = step_coefficients(s, 2, 1, 1.0)
+        out = a * traj(1.0) + b * np.full((T_F, 2), 0.5)
         assert np.allclose(out, expected)
         assert expected == pytest.approx(0.989147, abs=1e-6)
 
     def test_d_ddpm_deterministic_bitwise(self):
         s = make_linear_schedule(50)
-        rng = np.random.default_rng(0)
-        y = rng.standard_normal((T_F, 2))
-        eps = rng.standard_normal((T_F, 2))
-        a = d_ddpm_step(y, 30, eps, s)
-        b = d_ddpm_step(y, 30, eps, s)
-        assert np.array_equal(a, b)
+        cfg = SamplerConfig(K=50, K_I=10, K_t=0, N=2)
+        a = sample_standard(_CountingStub(), [0.0, 1.0], cfg, s, NoiseStream(0), "d_ddpm")
+        b = sample_standard(_CountingStub(), [0.0, 1.0], cfg, s, NoiseStream(0), "d_ddpm")
+        for ta, tb in zip(a, b):
+            assert np.array_equal(ta, tb)
 
     def test_ddpm_zero_z_equals_d_ddpm(self):
         s = make_linear_schedule(50)
-        rng = np.random.default_rng(1)
-        y = rng.standard_normal((T_F, 2))
-        eps = rng.standard_normal((T_F, 2))
-        stoch = ddpm_step(y, 20, eps, np.zeros((T_F, 2)), s)
-        det = d_ddpm_step(y, 20, eps, s)
-        assert np.array_equal(stoch, det)
+        cfg = SamplerConfig(K=50, K_I=10, K_t=0, N=3)
+        fs = [0.0, 1.0, 2.0]
+        stoch = sample_standard(_CountingStub(), fs, cfg, s, _ZeroNoiseForks(1), "ddpm")
+        det = sample_standard(_CountingStub(), fs, cfg, s, NoiseStream(1), "d_ddpm")
+        for ta, tb in zip(stoch, det):
+            assert np.array_equal(ta, tb)
 
     def test_ddpm_mean_plus_sigma(self):
         s = schedule_with(0.99, 0.9)
         z = np.ones((T_F, 2))
-        out = ddpm_step(traj(1.0), 2, np.full((T_F, 2), 0.5), z, s)
+        a, b, sigma = step_coefficients(s, 2, 1, 1.0)
+        out = a * traj(1.0) + b * np.full((T_F, 2), 0.5) + sigma * z
         beta_tilde = (1.0 - 0.9 / 0.99) / (1.0 - 0.9) * (1.0 - 0.99)
         mean = (1.0 - 0.01 / np.sqrt(0.1) * 0.5) / np.sqrt(0.99)
         assert mean == pytest.approx(0.989147, abs=1e-6)
         assert np.allclose(out, mean + np.sqrt(beta_tilde), atol=1e-12)
 
-    def test_ddpm_rejects_noise_at_last_step(self):
+    def test_ddpm_draws_no_noise_at_last_step(self):
         s = make_linear_schedule(10)
-        with pytest.raises(ValueError):
-            ddpm_step(traj(1.0), 1, np.zeros((T_F, 2)), np.ones((T_F, 2)), s)
+        cfg = SamplerConfig(K=10, K_I=5, K_t=0, N=1)
+        ks, drawn_at = [], []
+        stub = lambda k, y, f: ks.append(k) or 0.1 * y
+        sample_standard(stub, [0.0], cfg, s, _ZeroNoiseForks(0, lambda: drawn_at.append(ks[-1])),
+                        "ddpm")
+        assert drawn_at == list(range(10, 1, -1))
 
 
 class TestDDIM:
     def test_sigma_eta_zero(self):
         s = make_linear_schedule(50)
         for k in range(2, 51):
-            assert ddim_sigma(s, k, 0.0) == 0.0
+            assert step_coefficients(s, k, k - 1, 0.0)[2] == 0.0
 
     def test_sigma_direct_arithmetic(self):
         # abar_{k-1} = 0.95, abar_k = 0.9, eta = 1
         s = schedule_with(0.9 / 0.95, 0.9)
         expected = np.sqrt((1 - 0.95) / (1 - 0.9) * (1 - 0.9 / 0.95))
-        assert ddim_sigma(s, 2, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert step_coefficients(s, 2, 1, 1.0)[2] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.162221, abs=1e-5)
 
     def test_sigma_negative_eta(self):
         s = make_linear_schedule(10)
         with pytest.raises(ValueError):
-            ddim_sigma(s, 5, -0.1)
+            step_coefficients(s, 5, 4, -0.1)
 
     def test_degenerate_jump_identity(self):
         # abar equal at both ends and sigma 0 -> output equals input
         s = NoiseSchedule(np.array([0.1, 1e-12]))
         y = traj(1.3)
-        out = ddim_step(y, 2, 1, np.full((T_F, 2), 0.7), np.zeros((T_F, 2)), 0.0, s)
+        a, b, sigma = step_coefficients(s, 2, 1, 0.0)
+        assert sigma == 0.0
+        out = a * y + b * np.full((T_F, 2), 0.7)
         assert np.allclose(out, y, atol=1e-5)
 
     def test_scalar_jump_oracle(self):
@@ -137,24 +167,53 @@ class TestDDIM:
             hi, lo, e = mpmath.mpf("0.9"), mpmath.mpf("0.95"), mpmath.mpf("0.5")
             expected = float(mpmath.sqrt(lo / hi) * 1
                              + (mpmath.sqrt(1 - lo) - mpmath.sqrt(lo * (1 - hi) / hi)) * e)
-        out = ddim_step(traj(1.0), 2, 1, np.full((T_F, 2), 0.5), np.zeros((T_F, 2)), 0.0, s)
+        a, b, _ = step_coefficients(s, 2, 1, 0.0)
+        out = a * traj(1.0) + b * np.full((T_F, 2), 0.5)
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_eta1_consecutive_matches_ddpm(self):
+        # the unit-stride eta = 1 jump is the DDPM step:
+        # a = 1/sqrt(alpha_k), b = -(1 - alpha_k) / (sqrt(1 - abar_k) sqrt(alpha_k))
         s = make_linear_schedule(100)
         rng = np.random.default_rng(3)
         for k in rng.integers(2, 101, size=20):
-            y = rng.standard_normal((T_F, 2))
-            eps = rng.standard_normal((T_F, 2))
-            z = rng.standard_normal((T_F, 2))
-            via_ddim = ddim_step(y, int(k), int(k) - 1, eps, z, 1.0, s)
-            via_ddpm = ddpm_step(y, int(k), eps, z, s)
-            assert np.allclose(via_ddim, via_ddpm, atol=1e-9)
+            a, b, _ = step_coefficients(s, int(k), int(k) - 1, 1.0)
+            alpha, abar = s.alpha(int(k)), s.alpha_bar(int(k))
+            assert a == pytest.approx(1.0 / np.sqrt(alpha), abs=1e-9)
+            assert b == pytest.approx(-(1.0 - alpha) / (np.sqrt(1.0 - abar) * np.sqrt(alpha)),
+                                      abs=1e-9)
 
     def test_rejects_bad_index_order(self):
         s = make_linear_schedule(10)
         with pytest.raises(ValueError):
-            ddim_step(traj(1.0), 5, 5, np.zeros((T_F, 2)), np.zeros((T_F, 2)), 0.0, s)
+            step_coefficients(s, 5, 5, 0.0)
+        with pytest.raises(ValueError):
+            step_coefficients(s, 11, 5, 0.0)
+
+
+class TestNoiseDraws:
+    @pytest.mark.parametrize("rule, eta, draws", [
+        ("ddpm", 1.0, 29), ("d_ddpm", 1.0, 0), ("ddim", 0.0, 0), ("ddim", 1.0, 9)])
+    def test_draws_per_chain(self, rule, eta, draws):
+        s = make_linear_schedule(30)
+        cfg = SamplerConfig(K=30, K_I=10, K_t=0, N=2, eta=eta)
+        stream = _ZeroNoiseForks(0)
+        sample_standard(_CountingStub(), [0.0, 1.0], cfg, s, stream, rule)
+        assert stream.draws == 2 * draws
+
+    def test_coefficients_computed_once_per_pair(self, monkeypatch):
+        calls = []
+        real = sampler.step_coefficients
+        monkeypatch.setattr(sampler, "step_coefficients",
+                            lambda *args: calls.append(args[1:3]) or real(*args))
+        s = make_linear_schedule(100)
+        cfg = SamplerConfig(K=100, K_I=20, K_t=20, N=5)
+        tree_sample(_CountingStub(), 0.0, [float(i) for i in range(5)], cfg, s, NoiseStream(0))
+        assert len(calls) == 20 + 16 and len(set(calls)) == len(calls)
+        calls.clear()
+        sample_standard(_CountingStub(), [float(i) for i in range(5)], cfg, s, NoiseStream(0),
+                        "ddpm")
+        assert len(calls) == 100 and len(set(calls)) == len(calls)
 
 
 class TestStepCounts:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajlab.sampler import ddim_sigma
+from trajlab.sampler import step_coefficients
 from trajlab.schedule import NoiseSchedule, make_linear_schedule, posterior_variance
 
 
@@ -78,8 +78,14 @@ def test_posterior_variance_out_of_range():
 def test_sigma_eta1_equals_posterior_variance(K, b0, b1):
     s = make_linear_schedule(K, b0, b1)
     for k in range(2, K + 1):
-        assert ddim_sigma(s, k, 1.0) ** 2 == pytest.approx(
+        assert step_coefficients(s, k, k - 1, 1.0)[2] ** 2 == pytest.approx(
             posterior_variance(s, k), rel=1e-12)
+
+
+@pytest.mark.parametrize("table", ["alphas", "alpha_bars"])
+def test_derived_tables_are_not_arguments(table):
+    with pytest.raises(TypeError):
+        NoiseSchedule(np.full(3, 0.1), **{table: np.full(3, 0.5)})
 
 
 def test_tables_immutable():
