@@ -277,7 +277,10 @@ def cmd_eval(cfg: dict) -> int:
     path = cfg["eval"]["predictions"] or str(out / "predictions.json")
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    records = read_predictions_json(path)
+    try:
+        records = read_predictions_json(path)
+    except ValueError as e:
+        raise InputFileError(f"{path}: {e}") from e
     if not records:
         raise InputFileError(f"{path}: no prediction records")
     with open(out / "displacement.csv", "w") as f:

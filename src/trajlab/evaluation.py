@@ -14,6 +14,7 @@ from .sampler import NoiseStream, SamplerConfig, total_evals
 from .schedule import NoiseSchedule
 
 BENCH_HEADER = "sampler,K,K_I,K_t,eta,N,ade,fde,evals,ms"
+_RECORD_KEYS = ("scene", "agent", "frame_base", "predictions", "gt")
 
 
 @dataclass
@@ -153,9 +154,29 @@ def write_predictions_json(path, records: list[dict]) -> None:
 
 
 def read_predictions_json(path) -> list[dict]:
+    """Records as write_predictions_json writes them, arrays as float64. A record
+    without a key, or whose predictions are not a finite (N, t_f, 2) set over a
+    finite (t_f, 2) gt, raises ValueError naming its index."""
     with open(path) as f:
         payload = json.load(f)
-    for r in payload:
-        r["predictions"] = np.asarray(r["predictions"], dtype=np.float64)
-        r["gt"] = np.asarray(r["gt"], dtype=np.float64)
+    if not isinstance(payload, list):
+        raise ValueError("expected a JSON list of prediction records")
+    for i, r in enumerate(payload):
+        if not isinstance(r, dict):
+            raise ValueError(f"record {i}: not a JSON object")
+        missing = [key for key in _RECORD_KEYS if key not in r]
+        if missing:
+            raise ValueError(f"record {i}: missing key {missing[0]!r}")
+        try:
+            preds = np.asarray(r["predictions"], dtype=np.float64)
+            gt = np.asarray(r["gt"], dtype=np.float64)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"record {i}: predictions/gt are not numeric arrays: {e}") from e
+        if not (gt.ndim == 2 and gt.size and gt.shape[1] == 2
+                and preds.ndim == 3 and preds.size and preds.shape[1:] == gt.shape):
+            raise ValueError(f"record {i}: predictions {preds.shape} and gt {gt.shape} "
+                             "are not (N, t_f, 2) and (t_f, 2)")
+        if not (np.all(np.isfinite(preds)) and np.all(np.isfinite(gt))):
+            raise ValueError(f"record {i}: non-finite predictions or gt")
+        r["predictions"], r["gt"] = preds, gt
     return payload

@@ -5,9 +5,10 @@ points and pixel centers, and it maps whole arrays of points at once. The
 predictor is a small encoder-decoder convnet with skip connections that turns
 stacked history heat-maps plus the semantic grid into per-frame future
 heat-maps; the last channel is the goal distribution.
-Goal selection draws diverse goals categorically (optionally oversampled and
-clustered, the test-time sampling trick) and takes the argmax pixel as the
-common goal.
+Goal selection draws diverse goals categorically and takes the argmax pixel
+as the common goal. With the test-time sampling trick it oversamples and
+clusters the draws by k-means, which works on whole coordinate columns (no
+loop over clusters) and stops once the labels repeat.
 """
 
 from __future__ import annotations
@@ -165,23 +166,40 @@ class TTSTConfig:
     n_samples: int = 1000
     kmeans_iters: int = 20
 
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.kmeans_iters < 0:
+            raise ValueError(f"kmeans_iters must be >= 0, got {self.kmeans_iters}")
+
 
 def _kmeans(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means with seeded farthest-point initialization; returns (k, 2) centers."""
-    centers = [points[int(rng.integers(len(points)))]]
+    """k-means with seeded farthest-point initialization; returns (k, 2) centers.
+
+    Squared distances are `(x - cx)**2 + (y - cy)**2` on the two coordinate
+    columns. A center moves to the mean of its members: three `bincount`s over
+    the labels give counts, x sums and y sums (members added in index order),
+    and an empty cluster keeps its center. The loop stops early at the first
+    labelling that repeats the previous one, a fixed point of the update."""
+    x, y = np.ascontiguousarray(points.T)
+    chosen = [int(rng.integers(len(points)))]
     d2 = np.full(len(points), np.inf)  # squared distance to the nearest chosen center
     for _ in range(k - 1):
-        d2 = np.minimum(d2, np.sum((points - centers[-1]) ** 2, axis=1))
-        centers.append(points[int(np.argmax(d2))])
-    centers = np.array(centers)
+        c = chosen[-1]
+        d2 = np.minimum(d2, (x - x[c]) ** 2 + (y - y[c]) ** 2)
+        chosen.append(int(np.argmax(d2)))
+    cx, cy = x[chosen], y[chosen]
+    labels = None
     for _ in range(iters):
-        d2 = np.sum((points[:, None, :] - centers[None]) ** 2, axis=2)
-        labels = np.argmin(d2, axis=1)
-        for j in range(k):
-            members = points[labels == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
-    return centers
+        new = np.argmin((x[:, None] - cx) ** 2 + (y[:, None] - cy) ** 2, axis=1)
+        if labels is not None and np.array_equal(new, labels):
+            break
+        labels = new
+        counts = np.bincount(labels, minlength=k)
+        filled = counts > 0
+        np.divide(np.bincount(labels, x, k), counts, out=cx, where=filled)
+        np.divide(np.bincount(labels, y, k), counts, out=cy, where=filled)
+    return np.stack([cx, cy], axis=1)
 
 
 def select_goals(goal_map: np.ndarray, grid: GridSpec, N: int,
@@ -190,6 +208,8 @@ def select_goals(goal_map: np.ndarray, grid: GridSpec, N: int,
     """Common goal = argmax pixel (lowest row-major index on ties); diverse
     goals = N categorical pixel samples, or cluster centers of an oversampled
     draw when the test-time trick is enabled."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     rng = rng if rng is not None else np.random.default_rng(0)
     goal_map = np.asarray(goal_map, dtype=np.float64)
     total = goal_map.sum()

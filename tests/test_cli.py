@@ -189,6 +189,28 @@ class TestBadInputFiles:
         assert "predictions.json" in err and "nan" not in err.lower()
         assert not (tmp_path / "run" / "displacement.csv").exists()
 
+    @pytest.mark.parametrize("records, fragment", [
+        ('{"scene": "s", "agent": 1, "frame_base": 0, "predictions": [[[0, 0]]]}',
+         "record 1: missing key 'gt'"),
+        ('{"scene": "s", "agent": 1, "frame_base": 0, "predictions": [[[NaN, 0]]], '
+         '"gt": [[0, 0]]}', "record 1: non-finite"),
+        ('{"scene": "s", "agent": 1, "frame_base": 0, "predictions": [[[0, 0], [1, 1], '
+         '[2, 2]]], "gt": [[0, 0], [1, 1]]}', "record 1: predictions (1, 3, 2) and gt (2, 2)"),
+        ('[1, 2]', "record 1: not a JSON object"),
+        ('{"scene": ', "predictions.json: Expecting value"),
+    ])
+    def test_eval_bad_record_names_file_and_index(self, tmp_path, capsys, records, fragment):
+        # record 0 is well formed; record 1 is not
+        path = tmp_path / "predictions.json"
+        path.write_text('[{"scene": "s", "agent": 0, "frame_base": 0, '
+                        '"predictions": [[[0, 0]]], "gt": [[1, 0]]}, ' + records + "]")
+        assert run(tmp_path / "run", "eval", "--set", f"eval.predictions={path}") \
+            == EXIT_CHECKPOINT
+        err = self.one_line_error(capsys)
+        assert err.startswith("bad input file:") and "predictions.json" in err
+        assert fragment in err and "nan" not in err.lower()
+        assert not (tmp_path / "run" / "displacement.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):

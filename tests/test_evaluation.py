@@ -138,3 +138,9 @@ class TestPredictionsJson:
         assert back[0]["agent"] == 4
         np.testing.assert_allclose(back[0]["predictions"], records[0]["predictions"])
         np.testing.assert_allclose(back[0]["gt"], records[0]["gt"])
+
+    def test_payload_must_be_a_list(self, tmp_path):
+        path = tmp_path / "preds.json"
+        path.write_text('{"scene": "eth"}')
+        with pytest.raises(ValueError, match="JSON list"):
+            read_predictions_json(path)

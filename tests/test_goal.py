@@ -151,6 +151,37 @@ def kmeans_init_reference(points, k, rng):
     return np.array(centers)
 
 
+def kmeans_reference(points, k, iters, rng):
+    """The per-cluster-loop k-means: (n, k, 2) distances, one masked mean per cluster."""
+    centers = [points[int(rng.integers(len(points)))]]
+    d2 = np.full(len(points), np.inf)
+    for _ in range(k - 1):
+        d2 = np.minimum(d2, np.sum((points - centers[-1]) ** 2, axis=1))
+        centers.append(points[int(np.argmax(d2))])
+    centers = np.array(centers)
+    for _ in range(iters):
+        d2 = np.sum((points[:, None, :] - centers[None]) ** 2, axis=2)
+        labels = np.argmin(d2, axis=1)
+        for j in range(k):
+            members = points[labels == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    return centers
+
+
+def kmeans_point_sets():
+    """Tie-heavy integer points, Gaussian points, and pixel-center draws from a
+    peaked 24x24 map."""
+    rng = np.random.default_rng(2024)
+    grid = GridSpec(24, 24, (0.25, 0.25), 0.5)
+    rr, cc = np.mgrid[0:24, 0:24]
+    peaked = np.exp(-((rr - 15.0) ** 2 + (cc - 6.0) ** 2) / 6.0) + 1e-4
+    idx = rng.choice(24 * 24, size=1000, p=(peaked / peaked.sum()).ravel())
+    return {"ties": rng.integers(0, 6, size=(400, 2)).astype(float),
+            "gauss": rng.normal(0.0, 3.0, size=(500, 2)),
+            "pixels": grid.pixel_to_world(*np.divmod(idx, 24))}
+
+
 def select_goals_reference(goal_map, grid, N, ttst, rng):
     """select_goals with one pixel_to_world call per draw."""
     p = (goal_map / goal_map.sum()).ravel()
@@ -160,8 +191,35 @@ def select_goals_reference(goal_map, grid, N, ttst, rng):
     idx = rng.choice(p.size, size=n_draw, p=p)
     pts = np.stack([grid.pixel_to_world(i // grid.W, i % grid.W) for i in idx])
     if ttst is not None and n_draw > N:
-        return common, _kmeans(pts, N, ttst.kmeans_iters, rng)
+        return common, kmeans_reference(pts, N, ttst.kmeans_iters, rng)
     return common, pts[:N]
+
+
+class TestKMeans:
+    @pytest.mark.parametrize("iters", [0, 1, 5, 20, 200])
+    @pytest.mark.parametrize("kind", ["ties", "gauss", "pixels"])
+    def test_matches_reference_bitwise(self, kind, iters):
+        points = kmeans_point_sets()[kind]
+        for seed, k in ((0, 1), (1, 7), (2, 20)):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _kmeans(points, k, iters, got_rng)
+            want = kmeans_reference(points, k, iters, want_rng)
+            assert got.shape == (k, 2) and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.random() == want_rng.random()  # one draw consumed, as before
+
+    def test_empty_cluster_keeps_its_center(self):
+        # 3 distinct values among 60 points, 5 centers: the init picks duplicates,
+        # and a duplicate center loses every member to its twin (lowest index wins)
+        points = np.repeat([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]], [30, 20, 10], axis=0)
+        init = kmeans_reference(points, 5, 0, np.random.default_rng(3))
+        got = _kmeans(points, 5, 20, np.random.default_rng(3))
+        want = kmeans_reference(points, 5, 20, np.random.default_rng(3))
+        assert got.tobytes() == want.tobytes()
+        labels = np.argmin(((points[:, None] - got[None]) ** 2).sum(axis=2), axis=1)
+        empty = np.setdiff1d(np.arange(5), labels)
+        assert empty.size > 0
+        assert np.array_equal(got[empty], init[empty])
 
 
 class TestSelectGoals:
@@ -232,6 +290,16 @@ class TestSelectGoals:
     def test_ttst_undersized_rejected(self, grid):
         with pytest.raises(ValueError):
             select_goals(np.ones((16, 16)), grid, 10, ttst=TTSTConfig(n_samples=5))
+
+    def test_zero_goals_rejected(self, grid):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            select_goals(np.ones((16, 16)), grid, 0)
+
+    @pytest.mark.parametrize("kwargs, field", [({"n_samples": 0}, "n_samples"),
+                                               ({"kmeans_iters": -3}, "kmeans_iters")])
+    def test_ttst_config_rejects_bad_values(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            TTSTConfig(**kwargs)
 
     def test_zero_map_rejected(self, grid):
         with pytest.raises(ValueError):
