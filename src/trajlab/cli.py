@@ -125,6 +125,8 @@ def _check_values(cfg: dict) -> None:
     if not 0.0 <= cfg["train"]["val_fraction"] < 1.0:
         raise ConfigError(f"[train] val_fraction must lie in [0, 1), "
                           f"got {cfg['train']['val_fraction']}")
+    if cfg["synthetic"]["n_agents"] < 1:
+        raise ConfigError(f"[synthetic] n_agents must be >= 1, got {cfg['synthetic']['n_agents']}")
     if cfg["data"]["stride"] < 1:
         raise ConfigError(f"[data] stride must be >= 1, got {cfg['data']['stride']}")
     if cfg["eval"]["ttst"] and cfg["eval"]["n_ttst"] < cfg["sampler"]["N"]:

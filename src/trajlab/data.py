@@ -155,6 +155,15 @@ class SyntheticSceneConfig:
     def __post_init__(self):
         if len(self.anchors) < 1:
             raise ValueError("need at least one goal anchor")
+        if self.grid_size < 1:
+            raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
+        # `not x > 0` and `not x >= 0` also reject NaN
+        if not self.extent > 0:
+            raise ValueError(f"extent must be > 0, got {self.extent}")
+        if not self.speed_std >= 0:
+            raise ValueError(f"speed_std must be >= 0, got {self.speed_std}")
+        if not self.heading_noise >= 0:
+            raise ValueError(f"heading_noise must be >= 0, got {self.heading_noise}")
 
     def grid_spec(self) -> GridSpec:
         n = self.grid_size

@@ -17,16 +17,6 @@ BENCH_HEADER = "sampler,K,K_I,K_t,eta,N,ade,fde,evals,ms"
 _RECORD_KEYS = ("scene", "agent", "frame_base", "predictions", "gt")
 
 
-@dataclass
-class PredictionSet:
-    trajectories: np.ndarray  # (N, t_f, 2)
-
-    def __post_init__(self):
-        self.trajectories = np.asarray(self.trajectories, dtype=np.float64)
-        if self.trajectories.ndim != 3 or self.trajectories.shape[0] < 1:
-            raise ValueError("prediction set must be (N, t_f, 2) with N >= 1")
-
-
 def ade(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean Euclidean distance over all frames."""
     pred, gt = np.asarray(pred), np.asarray(gt)
@@ -43,9 +33,9 @@ def fde(pred: np.ndarray, gt: np.ndarray) -> float:
     return float(np.linalg.norm(pred[-1] - gt[-1]))
 
 
-def best_of_n(preds: PredictionSet | np.ndarray, gt: np.ndarray) -> tuple[float, float]:
-    """Independently minimized best-of-N ADE and FDE."""
-    trajs = preds.trajectories if isinstance(preds, PredictionSet) else np.asarray(preds)
+def best_of_n(preds: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
+    """Independently minimized best-of-N ADE and FDE over (N, t_f, 2) predictions."""
+    trajs = np.asarray(preds)
     if len(trajs) == 0:
         raise ValueError("empty prediction set")
     return (min(ade(t, gt) for t in trajs), min(fde(t, gt) for t in trajs))

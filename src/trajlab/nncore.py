@@ -3,7 +3,9 @@
 Everything runs on float64 numpy arrays. The Tensor class records a tape of
 elementary ops; Parameter marks trainable leaves. Layers (Dense, LSTMCell,
 conv2d) compose Tensor ops, so their gradients come from the same tape and
-can all be checked against finite differences. A backward closure never holds
+can all be checked against finite differences. conv2d's input gradient is the
+flipped-kernel correlation of the output gradient over the same `_im2col`
+gather as its forward, which needs pad <= k - 1. A backward closure never holds
 its own output, so a graph has no reference cycles and is freed as soon as
 its last tensor is dropped.
 """
@@ -71,9 +73,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     # -- elementary ops --
 
@@ -264,21 +263,19 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return patches.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, ho * wo), ho, wo
 
 
-def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, pad, ho, wo):
-    b, c, h, w = x_shape
-    cols = cols.reshape(b, c, kh, kw, ho, wo)
-    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols[:, :, i, j]
-    return xp[:, :, pad:pad + h, pad:pad + w]
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
-    """3x3-style 2D convolution on (B, C, H, W) input."""
+    """3x3-style 2D convolution on (B, C, H, W) input; requires pad <= k - 1.
+
+    The input gradient correlates the output gradient, written with step
+    `stride` at offset k - 1 - pad into a zero (H + kh - 1, W + kw - 1) buffer,
+    with the flipped kernel over the same `_im2col` gather, for every stride.
+    A larger pad would make that offset negative and the gradient wrong.
+    """
     cout, cin, kh, kw = w.data.shape
     if x.data.shape[1] != cin:
         raise ValueError(f"conv2d channel mismatch: input {x.data.shape[1]}, weight {cin}")
+    if pad > kh - 1 or pad > kw - 1:
+        raise ValueError(f"conv2d pad {pad} exceeds kernel size - 1 ({kh}x{kw} kernel)")
     cols, ho, wo = _im2col(x.data, kh, kw, stride, pad)
     w2 = w.data.reshape(cout, -1)
     out_data = np.matmul(w2, cols) + b.data[:, None]
@@ -288,8 +285,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
         g2 = g.reshape(g.shape[0], cout, ho * wo)
         w.grad += np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
         b.grad += g2.sum(axis=(0, 2))
-        dcols = np.matmul(w2.T, g2)
-        x.grad += _col2im(dcols, x.data.shape, kh, kw, stride, pad, ho, wo)
+        bsz, _, h_in, w_in = x.data.shape
+        oh, ow = kh - 1 - pad, kw - 1 - pad
+        gd = np.zeros((bsz, cout, h_in + kh - 1, w_in + kw - 1))
+        gd[:, :, oh:oh + stride * ho:stride, ow:ow + stride * wo:stride] = g
+        gcols = _im2col(gd, kh, kw, 1, 0)[0]
+        w_flip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
+        x.grad += np.matmul(w_flip, gcols).reshape(x.data.shape)
 
     out._backward = back
     return out
@@ -383,13 +385,9 @@ def adam_update(value, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps_opt=1e-
 
 
 class Adam:
-    def __init__(self, params: dict[str, Parameter], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps_opt: float = 1e-8):
+    def __init__(self, params: dict[str, Parameter], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps_opt = eps_opt
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -404,8 +402,7 @@ class Adam:
             if not np.all(np.isfinite(p.grad)):
                 raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
             p.data, self.m[name], self.v[name] = adam_update(
-                p.data, p.grad, self.m[name], self.v[name], self.t,
-                self.lr, self.beta1, self.beta2, self.eps_opt)
+                p.data, p.grad, self.m[name], self.v[name], self.t, self.lr)
 
 
 # -- checkpoints --

@@ -64,7 +64,8 @@ def diffusion_loss(Y0: np.ndarray, f: Tensor, denoiser, s: NoiseSchedule,
     return (diff * diff).mean()
 
 
-def combined_loss(l_traj: float, l_goal: float, lam: float) -> float:
+def combined_loss(l_traj, l_goal, lam: float):
+    """l_traj + lam * l_goal, on loss Tensors for a step or on floats for an epoch's means."""
     return l_traj + lam * l_goal
 
 
@@ -123,7 +124,7 @@ class Trainer:
             histories = np.stack([w.history for w in batch])
             futures = np.stack([w.future for w in batch])
             l_goal, l_traj = self._batch_losses(histories, futures)
-            total = l_traj + self.cfg.lam * l_goal
+            total = combined_loss(l_traj, l_goal, self.cfg.lam)
             if not np.isfinite(total.data):
                 raise RuntimeError(f"non-finite loss in batch starting at index {start}")
             self.opt.zero_grad()

@@ -91,6 +91,11 @@ class TestExitCodes:
         ("model.t_h=1", "t_h"),
         ("eval.n_ttst=5", "n_ttst"),
         ("eval.trunk_steps=50 schedule.K=30", "trunk_steps"),
+        ("synthetic.n_agents=0", "n_agents"),
+        ("synthetic.extent=-1", "extent"),
+        ("synthetic.speed_std=-1", "speed_std"),
+        ("synthetic.grid_size=0", "grid_size"),
+        ("synthetic.heading_noise=-0.1", "heading_noise"),
     ])
     def test_bad_config_value_is_2(self, override, key, capsys):
         sets = [arg for item in override.split() for arg in ("--set", item)]

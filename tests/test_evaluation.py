@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from trajlab.data import TrajectoryWindow
-from trajlab.evaluation import (BENCH_HEADER, BenchRow, PredictionSet, ade,
-                                bench_samplers, best_of_n, fde,
+from trajlab.evaluation import (BENCH_HEADER, BenchRow, ade, bench_samplers, best_of_n, fde,
                                 read_predictions_json, write_bench_csv,
                                 write_predictions_json)
 from trajlab.goal import GridSpec, SemanticGrid
@@ -82,14 +81,9 @@ class TestBestOfN:
         assert all(a >= b for a, b in zip(ades, ades[1:]))
         assert all(a >= b for a, b in zip(fdes, fdes[1:]))
 
-    def test_accepts_prediction_set(self, rng):
-        ps = PredictionSet(rng.standard_normal((3, 5, 2)))
-        gt = rng.standard_normal((5, 2))
-        assert best_of_n(ps, gt) == best_of_n(ps.trajectories, gt)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            PredictionSet(np.zeros((0, 5, 2)))
+            best_of_n(np.zeros((0, 5, 2)), np.zeros((5, 2)))
 
 
 class TestBench:

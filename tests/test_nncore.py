@@ -9,6 +9,22 @@ from trajlab.nncore import (Adam, Dense, LSTMCell, NonFiniteError, Parameter,
                             load_checkpoint, save_checkpoint, upsample2x)
 
 
+def col2im_reference(cols: np.ndarray, x_shape, kh, kw, stride, pad, ho, wo):
+    """Scatter-add input gradient of conv2d, an independent algorithm kept as the oracle."""
+    b, c, h, w = x_shape
+    cols = cols.reshape(b, c, kh, kw, ho, wo)
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad))
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols[:, :, i, j]
+    return xp[:, :, pad:pad + h, pad:pad + w]
+
+
+# (stride, pad, size): inputs are (size, size + 1), so both axes and an odd
+# stride-2 remainder row or column get covered
+CONV_CASES = [(1, 1, 6), (2, 1, 7), (2, 0, 8), (1, 0, 5)]
+
+
 def check_grad(fn, x0, atol=1e-4):
     """Compare autograd dL/dx against central finite differences at x0."""
     p = Parameter(x0.copy())
@@ -88,7 +104,7 @@ class TestConvUpsampleGrads:
         out = conv2d(Tensor(x), Tensor(w), Tensor(np.zeros(1)))
         assert np.array_equal(out.data, x)
 
-    @pytest.mark.parametrize("stride, pad, size", [(1, 1, 6), (2, 1, 7), (2, 0, 8), (1, 0, 5)])
+    @pytest.mark.parametrize("stride, pad, size", CONV_CASES)
     def test_conv2d_forward_matches_direct_loops(self, rng, stride, pad, size):
         x = rng.standard_normal((2, 3, size, size + 1))
         w = rng.standard_normal((4, 3, 3, 3))
@@ -114,6 +130,29 @@ class TestConvUpsampleGrads:
         check_grad(lambda t: (conv2d(t, Tensor(w), Tensor(b)) ** 2).sum(), x)
         check_grad(lambda t: (conv2d(Tensor(x), t, Tensor(b)) ** 2).sum(), w)
         check_grad(lambda t: (conv2d(Tensor(x), Tensor(w), t) ** 2).sum(), b)
+
+    @pytest.mark.parametrize("stride, pad, size", CONV_CASES + [(2, 1, 6)])
+    def test_conv2d_input_grad(self, rng, stride, pad, size):
+        x = rng.standard_normal((2, 3, size, size + 1))
+        w = rng.standard_normal((4, 3, 3, 3)) * 0.3
+        b = rng.standard_normal(4)
+        check_grad(lambda t: (conv2d(t, Tensor(w), Tensor(b), stride, pad) ** 2).sum(), x)
+        p = Parameter(x)
+        out = conv2d(p, Tensor(w), Tensor(b), stride, pad)
+        g = rng.standard_normal(out.shape)
+        out.backward(g)
+        ho, wo = out.shape[2:]
+        dcols = np.matmul(w.reshape(4, -1).T, g.reshape(2, 4, ho * wo))
+        ref = col2im_reference(dcols, x.shape, 3, 3, stride, pad, ho, wo)
+        assert rel_error(p.grad, ref) < 1e-12
+
+    @pytest.mark.parametrize("kernel, pad", [((3, 3), 3), ((2, 3), 2), ((3, 2), 2)],
+                             ids=["3x3-pad3", "2x3-pad2", "3x2-pad2"])
+    def test_conv2d_pad_beyond_kernel_rejected(self, rng, kernel, pad):
+        w = rng.standard_normal((2, 1) + kernel)
+        with pytest.raises(ValueError, match="pad"):
+            conv2d(Tensor(rng.standard_normal((1, 1, 5, 5))), Tensor(w), Tensor(np.zeros(2)),
+                   pad=pad)
 
     def test_conv2d_stride2(self, rng):
         x = rng.standard_normal((1, 2, 6, 6))
@@ -264,13 +303,6 @@ def test_backward_accumulates_through_shared_node(rng):
     out = (p * p + p).sum()
     out.backward()
     assert p.grad[0] == pytest.approx(2 * 2.0 + 1.0)
-
-
-def test_detach_blocks_gradient():
-    p = Parameter(np.array([3.0]))
-    out = (p.detach() * p).sum()
-    out.backward()
-    assert p.grad[0] == pytest.approx(3.0)
 
 
 def test_graph_has_no_reference_cycles(rng):
