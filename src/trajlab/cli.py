@@ -8,7 +8,7 @@ environment variable overrides run.seed. Every run writes a resolved-config
 snapshot that can be fed back through any subcommand to reproduce it.
 
 Exit codes: 0 success, 2 configuration error, 3 missing input file,
-4 checkpoint/config mismatch or bad input file.
+4 unusable checkpoint or bad input file.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import configparser
 import json
 import os
 import sys
+import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +65,10 @@ class ConfigError(ValueError):
 
 class InputFileError(ValueError):
     """A dataset or predictions file that a command cannot use (exit 4)."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint that cannot be loaded or does not fit the dataset (exit 4)."""
 
 
 def _convert(section: str, key: str, raw: str):
@@ -228,7 +234,13 @@ def cmd_train(cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     windows, sem = _load_dataset(cfg)
     train_set, _ = _split(windows, cfg)
-    model = PredictionModel(_model_config(cfg), sem.grid)
+    if not train_set:
+        tracks_path = Path(cfg["data"]["dataset_dir"]) / "tracks.txt"
+        raise InputFileError(f"{tracks_path}: no training window: {len(windows)} windows in "
+                             f"all, and validation holds out at least one")
+    # the goal net takes as many semantic channels as the dataset's grid has
+    model = PredictionModel(replace(_model_config(cfg), sem_channels=len(sem.channels)),
+                            sem.grid)
     trainer = Trainer(model, sem, _schedule(cfg), _train_config(cfg))
     max_seconds = cfg["train"]["max_seconds"] or None
     history = trainer.fit(train_set, log_path=out / "metrics.csv",
@@ -240,20 +252,34 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _load_model(cfg: dict) -> PredictionModel:
+def _prediction_setup(cfg: dict):
+    """Validation windows, semantic grid and model for predict and bench. The
+    checkpoint must load and fit the dataset and config before any window runs."""
+    windows, sem = _load_dataset(cfg)
+    _, val = _split(windows, cfg)
     path = cfg["eval"]["checkpoint"] or str(Path(cfg["run"]["out_dir"]) / "checkpoint.npz")
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    return PredictionModel.load(path)
+    # zipfile raises NotImplementedError when a corrupt entry names an unknown compression
+    try:
+        model = PredictionModel.load(path)
+    except (OSError, EOFError, ValueError, NotImplementedError, zipfile.BadZipFile) as e:
+        raise CheckpointError(f"{path}: {e}") from e
+    grid_path = Path(cfg["data"]["dataset_dir"]) / "semantic.grid"
+    fits = (("grid", model.grid, sem.grid, grid_path),
+            ("goal-net input channels", model.goal_net.in_channels,
+             cfg["model"]["t_h"] + len(sem.channels), f"{grid_path} and [model] t_h"),
+            ("t_f", model.cfg.t_f, cfg["model"]["t_f"], "[model] t_f"))
+    for name, ours, theirs, source in fits:
+        if ours != theirs:
+            raise CheckpointError(f"{path}: {name} {ours} does not match {theirs} from {source}")
+    return val[:cfg["eval"]["max_windows"]], sem, model
 
 
 def cmd_predict(cfg: dict) -> int:
     out = Path(cfg["run"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    windows, sem = _load_dataset(cfg)
-    _, val = _split(windows, cfg)
-    val = val[:cfg["eval"]["max_windows"]]
-    model = _load_model(cfg)
+    val, sem, model = _prediction_setup(cfg)
     schedule = _schedule(cfg)
     scfg = _sampler_config(cfg)
     ttst = TTSTConfig(cfg["eval"]["n_ttst"]) if cfg["eval"]["ttst"] else None
@@ -308,10 +334,7 @@ def cmd_bench(cfg: dict) -> int:
         raise ConfigError(f"[eval] trunk_steps: {e}") from e
     out = Path(cfg["run"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    windows, sem = _load_dataset(cfg)
-    _, val = _split(windows, cfg)
-    val = val[:cfg["eval"]["max_windows"]]
-    model = _load_model(cfg)
+    val, sem, model = _prediction_setup(cfg)
     schedule = _schedule(cfg)
     ttst = TTSTConfig(cfg["eval"]["n_ttst"]) if cfg["eval"]["ttst"] else None
     rows = bench_samplers(model, val, sem, schedule, _sampler_config(cfg),
@@ -333,7 +356,7 @@ def main(argv=None) -> int:
         prog="trajlab",
         description="Goal-conditioned diffusion trajectory prediction with tree sampling.",
         epilog="Exit codes: 0 success, 2 config error, 3 missing input file, "
-               "4 checkpoint mismatch or bad input file.")
+               "4 unusable checkpoint or bad input file.")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", default=None, help="INI config file")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
@@ -348,11 +371,11 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"missing file: {e}", file=sys.stderr)
         return EXIT_MISSING
+    except CheckpointError as e:
+        print(f"bad checkpoint: {e}", file=sys.stderr)
+        return EXIT_CHECKPOINT
     except (InputFileError, TrajectoryFileError) as e:
         print(f"bad input file: {e}", file=sys.stderr)
-        return EXIT_CHECKPOINT
-    except ValueError as e:
-        print(f"checkpoint/config mismatch: {e}", file=sys.stderr)
         return EXIT_CHECKPOINT
 
 

@@ -155,6 +155,8 @@ class SyntheticSceneConfig:
     def __post_init__(self):
         if len(self.anchors) < 1:
             raise ValueError("need at least one goal anchor")
+        if any(len(a) != 2 for a in self.anchors):
+            raise ValueError(f"anchors must be x,y pairs, got {self.anchors}")
         if self.grid_size < 1:
             raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
         # `not x > 0` and `not x >= 0` also reject NaN

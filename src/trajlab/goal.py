@@ -29,8 +29,12 @@ class GridSpec:
     resolution: float  # meters per pixel
 
     def __post_init__(self):
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if self.H < 1 or self.W < 1:
+            raise ValueError(f"grid must be at least 1x1 pixels, got {self.H}x{self.W}")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"origin must be finite, got {self.origin}")
+        if not (np.isfinite(self.resolution) and self.resolution > 0):
+            raise ValueError(f"resolution must be positive and finite, got {self.resolution}")
 
     def world_to_pixel(self, pos) -> tuple:
         """Continuous (rows, cols) pixel coordinates of (..., 2) world points."""
@@ -253,14 +257,15 @@ def save_semantic_grid(path, sem: SemanticGrid) -> None:
 def load_semantic_grid(path) -> SemanticGrid:
     with open(path, "rb") as f:
         header = f.readline().decode(errors="replace").split()
-        if header[:2] != [_GRID_MAGIC.decode(), str(_GRID_VERSION)] or len(header) != 8:
-            raise ValueError(f"{path}: not a recognized semantic grid file")
-        try:
-            h, w, c = int(header[2]), int(header[3]), int(header[4])
-            grid = GridSpec(h, w, (float(header[5]), float(header[6])), float(header[7]))
-        except ValueError as e:
-            raise ValueError(f"{path}: bad semantic grid header: {e}") from e
-        payload = np.frombuffer(f.read(), dtype="<f4")
+        raw = f.read()
+    if header[:2] != [_GRID_MAGIC.decode(), str(_GRID_VERSION)] or len(header) != 8:
+        raise ValueError(f"{path}: not a recognized semantic grid file")
+    try:
+        h, w, c = int(header[2]), int(header[3]), int(header[4])
+        grid = GridSpec(h, w, (float(header[5]), float(header[6])), float(header[7]))
+        payload = np.frombuffer(raw, dtype="<f4")
         if payload.size != c * h * w:
-            raise ValueError(f"{path}: payload size {payload.size} != {c}*{h}*{w}")
-    return SemanticGrid(grid, payload.reshape(c, h, w).astype(np.float64))
+            raise ValueError(f"payload size {payload.size} != {c}*{h}*{w}")
+        return SemanticGrid(grid, payload.reshape(c, h, w).astype(np.float64))
+    except ValueError as e:
+        raise ValueError(f"{path}: bad semantic grid: {e}") from e

@@ -70,25 +70,32 @@ class PredictionModel:
 
     @classmethod
     def load(cls, path) -> "PredictionModel":
+        """Rebuild a saved model. A missing, wrong-shaped or non-finite entry is
+        a ValueError naming it."""
         arrays = nncore.load_checkpoint(path)
-        kwargs = {}
-        for key in [f"cfg.{name}" for name in vars(ModelConfig())] + ["grid.spec"]:
+        defaults = vars(ModelConfig())
+        meta = {}
+        for key in [f"cfg.{name}" for name in defaults] + ["grid.spec"]:
             if key not in arrays:
                 raise ValueError(f"checkpoint missing {key!r}")
-        for field_name, default in vars(ModelConfig()).items():
-            raw = arrays[f"cfg.{field_name}"]
-            kwargs[field_name] = type(default)(raw)
-        g = arrays["grid.spec"]
+            meta[key] = arrays[key].astype(np.float64)
+            if meta[key].shape != ((5,) if key == "grid.spec" else ()) \
+                    or not np.all(np.isfinite(meta[key])):
+                raise ValueError(f"checkpoint {key!r} is not a finite value of the saved shape")
+        kwargs = {name: type(default)(meta[f"cfg.{name}"]) for name, default in defaults.items()}
+        g = meta["grid.spec"]
         grid = GridSpec(int(g[0]), int(g[1]), (float(g[2]), float(g[3])), float(g[4]))
         model = cls(ModelConfig(**kwargs), grid)
-        params = model.parameters()
-        for name, p in params.items():
+        for name, p in model.parameters().items():
             if name not in arrays:
                 raise ValueError(f"checkpoint missing parameter {name!r}")
-            if arrays[name].shape != p.data.shape:
+            value = arrays[name].astype(np.float64)
+            if value.shape != p.data.shape:
                 raise ValueError(f"checkpoint shape mismatch for {name!r}: "
-                                 f"{arrays[name].shape} vs {p.data.shape}")
-            p.data = arrays[name].astype(np.float64)
+                                 f"{value.shape} vs {p.data.shape}")
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"checkpoint parameter {name!r} is not finite")
+            p.data = value
         return model
 
     # -- inference --
@@ -116,7 +123,7 @@ class PredictionModel:
         goals = select_goals(goal_map / goal_map.sum(), self.grid, sampler_cfg.N,
                              ttst, goal_rng)
         f_common, f_diverse = self.condition_features(history, goals)
-        denoise = lambda k, y, f: self.denoiser.predict_noise(k, y, f)
+        denoise = self.denoiser.predict_noise
         if rule == "ts":
             trajs = tree_sample(denoise, f_common, f_diverse, sampler_cfg, schedule, rng)
         else:

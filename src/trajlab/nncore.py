@@ -3,11 +3,20 @@
 Everything runs on float64 numpy arrays. The Tensor class records a tape of
 elementary ops; Parameter marks trainable leaves. Layers (Dense, LSTMCell,
 conv2d) compose Tensor ops, so their gradients come from the same tape and
-can all be checked against finite differences. conv2d's input gradient is the
-flipped-kernel correlation of the output gradient over the same `_im2col`
-gather as its forward, which needs pad <= k - 1. A backward closure never holds
-its own output, so a graph has no reference cycles and is freed as soon as
-its last tensor is dropped.
+can all be checked against finite differences.
+
+Each op records one edge `(parent, grad_fn)` per input, where `grad_fn(g)`
+returns that input's gradient given the output's. A tensor keeps only edges
+to tensors that need a gradient: a Parameter, or a tensor with edges of its
+own. A tensor built from data therefore has no edges, and gradients nobody
+reads (of data leaves, or conv2d's input gradient when the input is data) are
+never computed. `Tensor.backward` is the one place that sums gradients into
+`.grad`. A grad_fn never holds its own output, so a graph has no reference
+cycles and is freed as soon as its last tensor is dropped.
+
+conv2d's input gradient is the flipped-kernel correlation of the output
+gradient over the same `_im2col` gather as its forward, which needs
+pad <= k - 1.
 """
 
 from __future__ import annotations
@@ -31,14 +40,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward")
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # out of place: `__add__` hands the same array to both of its parents
+    t.grad = g if t.grad is None else t.grad + g
 
-    def __init__(self, data, parents=(), backward=None):
+
+class Tensor:
+    __slots__ = ("data", "grad", "_edges")
+
+    def __init__(self, data, edges=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._parents = parents
-        self._backward = backward
+        self._edges = tuple((p, fn) for p, fn in edges if p._edges or isinstance(p, Parameter))
 
     @property
     def shape(self):
@@ -63,40 +76,27 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p, _ in node._edges:
                 if id(p) not in seen:
                     stack.append((p, False))
-        for node in topo:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-        self.grad = self.grad + np.asarray(seed, dtype=np.float64)
+        _accumulate(self, np.asarray(seed, dtype=np.float64))
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+            for parent, grad_fn in node._edges:
+                _accumulate(parent, grad_fn(node.grad))
 
     # -- elementary ops --
 
     def __add__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data + other.data, (self, other))
-
-        def back(g):
-            self.grad += _unbroadcast(g, self.data.shape)
-            other.grad += _unbroadcast(g, other.data.shape)
-
-        out._backward = back
-        return out
+        return Tensor(self.data + other.data,
+                      ((self, lambda g: _unbroadcast(g, self.data.shape)),
+                       (other, lambda g: _unbroadcast(g, other.data.shape))))
 
     def __mul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data * other.data, (self, other))
-
-        def back(g):
-            self.grad += _unbroadcast(g * other.data, self.data.shape)
-            other.grad += _unbroadcast(g * self.data, other.data.shape)
-
-        out._backward = back
-        return out
+        return Tensor(self.data * other.data,
+                      ((self, lambda g: _unbroadcast(g * other.data, self.data.shape)),
+                       (other, lambda g: _unbroadcast(g * self.data, other.data.shape))))
 
     def __neg__(self):
         return self * -1.0
@@ -112,13 +112,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __pow__(self, p: float):
-        out = Tensor(self.data ** p, (self,))
-
-        def back(g):
-            self.grad += g * p * self.data ** (p - 1)
-
-        out._backward = back
-        return out
+        return Tensor(self.data ** p, ((self, lambda g: g * p * self.data ** (p - 1)),))
 
     def __truediv__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -126,107 +120,53 @@ class Tensor:
 
     def __matmul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out = Tensor(self.data @ other.data, (self, other))
-
-        def back(g):
-            self.grad += g @ other.data.swapaxes(-1, -2)
-            other.grad += _unbroadcast(self.data.swapaxes(-1, -2) @ g, other.data.shape)
-
-        out._backward = back
-        return out
+        return Tensor(self.data @ other.data,
+                      ((self, lambda g: g @ other.data.swapaxes(-1, -2)),
+                       (other, lambda g: _unbroadcast(self.data.swapaxes(-1, -2) @ g,
+                                                      other.data.shape))))
 
     def exp(self):
-        out = Tensor(np.exp(self.data), (self,))
-        y = out.data  # not `out`: a closure over its own output is a reference cycle
-
-        def back(g):
-            self.grad += g * y
-
-        out._backward = back
-        return out
+        y = np.exp(self.data)
+        return Tensor(y, ((self, lambda g: g * y),))
 
     def log(self):
-        out = Tensor(np.log(self.data), (self,))
-
-        def back(g):
-            self.grad += g / self.data
-
-        out._backward = back
-        return out
+        return Tensor(np.log(self.data), ((self, lambda g: g / self.data),))
 
     def tanh(self):
-        out = Tensor(np.tanh(self.data), (self,))
-        y = out.data  # not `out`: a closure over its own output is a reference cycle
-
-        def back(g):
-            self.grad += g * (1.0 - y ** 2)
-
-        out._backward = back
-        return out
+        y = np.tanh(self.data)
+        return Tensor(y, ((self, lambda g: g * (1.0 - y ** 2)),))
 
     def sigmoid(self):
-        out = Tensor(1.0 / (1.0 + np.exp(-self.data)), (self,))
-        y = out.data  # not `out`: a closure over its own output is a reference cycle
-
-        def back(g):
-            self.grad += g * y * (1.0 - y)
-
-        out._backward = back
-        return out
+        y = 1.0 / (1.0 + np.exp(-self.data))
+        return Tensor(y, ((self, lambda g: g * y * (1.0 - y)),))
 
     def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), (self,))
-
-        def back(g):
-            self.grad += g * (self.data > 0.0)
-
-        out._backward = back
-        return out
+        return Tensor(np.maximum(self.data, 0.0), ((self, lambda g: g * (self.data > 0.0)),))
 
     def clip(self, lo: float, hi: float):
         """Clamp values; gradient passes only through unclipped entries."""
-        out = Tensor(np.clip(self.data, lo, hi), (self,))
-        mask = (self.data > lo) & (self.data < hi)
-
-        def back(g):
-            self.grad += g * mask
-
-        out._backward = back
-        return out
+        return Tensor(np.clip(self.data, lo, hi),
+                      ((self, lambda g: g * ((self.data > lo) & (self.data < hi))),))
 
     def sum(self, axis=None):
-        out = Tensor(self.data.sum(axis=axis), (self,))
-
-        def back(g):
-            if axis is None:
-                self.grad += g
-            else:
-                self.grad += np.expand_dims(g, axis)
-
-        out._backward = back
-        return out
+        return Tensor(self.data.sum(axis=axis),
+                      ((self, lambda g: np.broadcast_to(
+                          g if axis is None else np.expand_dims(g, axis), self.data.shape)),))
 
     def mean(self, axis=None):
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis) * (1.0 / n)
 
     def reshape(self, *shape):
-        out = Tensor(self.data.reshape(*shape), (self,))
-
-        def back(g):
-            self.grad += g.reshape(self.data.shape)
-
-        out._backward = back
-        return out
+        return Tensor(self.data.reshape(*shape), ((self, lambda g: g.reshape(self.data.shape)),))
 
     def __getitem__(self, idx):
-        out = Tensor(self.data[idx], (self,))
+        def grad_fn(g):
+            full = np.zeros_like(self.data)
+            np.add.at(full, idx, g)
+            return full
 
-        def back(g):
-            np.add.at(self.grad, idx, g)
-
-        out._backward = back
-        return out
+        return Tensor(self.data[idx], ((self, grad_fn),))
 
 
 class Parameter(Tensor):
@@ -239,16 +179,13 @@ class Parameter(Tensor):
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
     datas = [t.data for t in tensors]
-    out = Tensor(np.concatenate(datas, axis=axis), tuple(tensors))
-    sizes = [d.shape[axis] for d in datas]
-    splits = np.cumsum(sizes)[:-1]
+    bounds = np.cumsum([0] + [d.shape[axis] for d in datas])
 
-    def back(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            t.grad += piece
+    def piece(lo, hi):
+        return lambda g: np.split(g, [lo, hi], axis=axis)[1]
 
-    out._backward = back
-    return out
+    return Tensor(np.concatenate(datas, axis=axis),
+                  tuple((t, piece(lo, hi)) for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:])))
 
 
 # -- convolution --
@@ -279,34 +216,32 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
     cols, ho, wo = _im2col(x.data, kh, kw, stride, pad)
     w2 = w.data.reshape(cout, -1)
     out_data = np.matmul(w2, cols) + b.data[:, None]
-    out = Tensor(out_data.reshape(-1, cout, ho, wo), (x, w, b))
 
-    def back(g):
-        g2 = g.reshape(g.shape[0], cout, ho * wo)
-        w.grad += np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
-        b.grad += g2.sum(axis=(0, 2))
+    def x_grad(g):
         bsz, _, h_in, w_in = x.data.shape
         oh, ow = kh - 1 - pad, kw - 1 - pad
         gd = np.zeros((bsz, cout, h_in + kh - 1, w_in + kw - 1))
         gd[:, :, oh:oh + stride * ho:stride, ow:ow + stride * wo:stride] = g
         gcols = _im2col(gd, kh, kw, 1, 0)[0]
         w_flip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-        x.grad += np.matmul(w_flip, gcols).reshape(x.data.shape)
+        return np.matmul(w_flip, gcols).reshape(x.data.shape)
 
-    out._backward = back
-    return out
+    def w_grad(g):
+        g2 = g.reshape(g.shape[0], cout, ho * wo)
+        return np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
+
+    return Tensor(out_data.reshape(-1, cout, ho, wo),
+                  ((w, w_grad), (b, lambda g: g.reshape(len(g), cout, -1).sum(axis=(0, 2))),
+                   (x, x_grad)))
 
 
 def upsample2x(x: Tensor) -> Tensor:
     """Nearest-neighbour 2x upsampling on (B, C, H, W)."""
-    out = Tensor(np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3), (x,))
-
-    def back(g):
+    def grad_fn(g):
         b, c, h2, w2 = g.shape
-        x.grad += g.reshape(b, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
+        return g.reshape(b, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
 
-    out._backward = back
-    return out
+    return Tensor(np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3), ((x, grad_fn),))
 
 
 # -- layers --
@@ -421,6 +356,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     with np.load(path) as f:
+        if "__format_version__" not in f.files:
+            raise ValueError("no __format_version__ entry")
         version = int(f["__format_version__"])
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")

@@ -96,6 +96,7 @@ class TestExitCodes:
         ("synthetic.speed_std=-1", "speed_std"),
         ("synthetic.grid_size=0", "grid_size"),
         ("synthetic.heading_noise=-0.1", "heading_noise"),
+        ("synthetic.anchors=1,1,1", "anchors"),
     ])
     def test_bad_config_value_is_2(self, override, key, capsys):
         sets = [arg for item in override.split() for arg in ("--set", item)]
@@ -151,6 +152,9 @@ def write_dataset(data_dir, agents: dict, grid_bytes: bytes | None = None) -> No
         (data_dir / "semantic.grid").write_bytes(grid_bytes)
 
 
+ONES = np.ones(16 * 16, "<f4").tobytes()  # payload of a one-channel 16 x 16 grid
+
+
 class TestBadInputFiles:
     def one_line_error(self, capsys) -> str:
         err = capsys.readouterr().err.strip()
@@ -177,13 +181,70 @@ class TestBadInputFiles:
             == EXIT_CHECKPOINT
         assert "tracks.txt:21:" in self.one_line_error(capsys)
 
-    @pytest.mark.parametrize("grid_bytes", [b"", b"TRAJGRID 1 16\n"])
+    @pytest.mark.parametrize("grid_bytes", [
+        b"", b"TRAJGRID 1 16\n",
+        pytest.param(b"TRAJGRID 1 16 16 1 0.5 0.5 nan\n" + ONES, id="nan-resolution"),
+        pytest.param(b"TRAJGRID 1 16 16 1 nan 0.5 1\n" + ONES, id="nan-origin"),
+        pytest.param(b"TRAJGRID 1 0 16 1 0.5 0.5 1\n", id="zero-rows"),
+        pytest.param(b"TRAJGRID 1 16 16 0 0.5 0.5 1\n", id="zero-channels")])
     def test_empty_or_short_grid_is_one_line(self, tmp_path, capsys, grid_bytes):
         data_dir = tmp_path / "data"
         write_dataset(data_dir, {1: (0, (2.0, 8.0), (0.3, 0.0))}, grid_bytes)
         assert run(tmp_path / "run", "train", "--set", f"data.dataset_dir={data_dir}") \
             == EXIT_CHECKPOINT
-        assert "semantic.grid" in self.one_line_error(capsys)
+        err = self.one_line_error(capsys)
+        assert "semantic.grid" in err and "tracks.txt" not in err
+
+    def test_no_training_window_names_tracks(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, {1: (0, (2.0, 8.0), (0.3, 0.0))})
+        # the only track keeps 12 frames, fewer than t_h + t_f = 20
+        lines = (data_dir / "tracks.txt").read_text().splitlines()
+        (data_dir / "tracks.txt").write_text("\n".join(lines[:12]) + "\n")
+        assert run(tmp_path / "run", "train", "--set", f"data.dataset_dir={data_dir}") \
+            == EXIT_CHECKPOINT
+        err = self.one_line_error(capsys)
+        assert err.startswith("bad input file:") and "tracks.txt" in err
+
+    @pytest.mark.parametrize("damage", ["truncated", "unversioned", "nan-weight"])
+    def test_unusable_checkpoint_names_it(self, pipeline, tmp_path, capsys, damage):
+        _, data_dir, run_dir = pipeline
+        ckpt = tmp_path / "checkpoint.npz"
+        arrays = dict(np.load(run_dir / "checkpoint.npz"))
+        if damage == "truncated":
+            ckpt.write_bytes((run_dir / "checkpoint.npz").read_bytes()[:2000])
+        elif damage == "unversioned":
+            del arrays["__format_version__"]
+            np.savez(ckpt, **arrays)
+        else:
+            arrays["denoiser.outp.b"][3] = np.nan
+            np.savez(ckpt, **arrays)
+        for command in ("predict", "bench"):
+            assert run(tmp_path / "run", command, "--set", f"data.dataset_dir={data_dir}",
+                       "--set", f"eval.checkpoint={ckpt}", "--set", "eval.trunk_steps=2") \
+                == EXIT_CHECKPOINT
+            err = capsys.readouterr().err.strip()
+            assert len(err.splitlines()) == 1 and err.startswith(f"bad checkpoint: {ckpt}: ")
+
+    @pytest.mark.parametrize("grid", [
+        SemanticGrid(GridSpec(16, 16, (0.5, 0.5), 1.0), np.ones((1, 16, 16))),
+        SemanticGrid(GridSpec(32, 32, (0.25, 0.25), 0.5), np.ones((2, 32, 32)))],
+        ids=["one-channel", "finer-grid"])
+    def test_checkpoint_must_fit_the_grid(self, pipeline, tmp_path, capsys, grid):
+        # the checkpoint was trained on a 16 x 16 grid of 1 m with 2 channels
+        _, _, run_dir = pipeline
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, {1: (0, (2.0, 8.0), (0.3, 0.0))})
+        save_semantic_grid(data_dir / "semantic.grid", grid)
+        for command in ("predict", "bench"):
+            out = tmp_path / command
+            assert run(out, command, "--set", f"data.dataset_dir={data_dir}",
+                       "--set", f"eval.checkpoint={run_dir / 'checkpoint.npz'}",
+                       "--set", "eval.trunk_steps=2") == EXIT_CHECKPOINT
+            err = capsys.readouterr().err.strip()
+            assert len(err.splitlines()) == 1 and err.startswith("bad checkpoint:")
+            assert "semantic.grid" in err
+            assert not any(out.glob("*.json")) and not any(out.glob("*.csv"))
 
     def test_eval_without_records_is_4(self, tmp_path, capsys):
         path = tmp_path / "predictions.json"

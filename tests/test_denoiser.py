@@ -3,7 +3,7 @@ import pytest
 
 from conftest import finite_difference, rel_error
 from trajlab.denoiser import NoisePredictor
-from trajlab.nncore import Tensor
+from trajlab.nncore import Parameter, Tensor
 
 
 def make_net(seed=0, **kw):
@@ -92,6 +92,6 @@ class TestGradients:
     def test_feature_gradient_flows(self, rng):
         # conditioning input must stay in the graph (encoder training depends on it)
         net = make_net(seed=6)
-        f = Tensor(rng.standard_normal((1, 6)))
+        f = Parameter(rng.standard_normal((1, 6)))
         (net.forward_t(np.array([4.0]), rng.standard_normal((1, 8)), f) ** 2).sum().backward()
-        assert np.any(f.grad != 0.0)
+        assert f.grad is not None and np.any(f.grad != 0.0)

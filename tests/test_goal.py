@@ -57,6 +57,13 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(4, 4, (0.0, 0.0), 0.0)
 
+    @pytest.mark.parametrize("h, w, origin, resolution", [
+        (0, 4, (0.0, 0.0), 1.0), (4, 0, (0.0, 0.0), 1.0), (4, 4, (np.nan, 0.0), 1.0),
+        (4, 4, (0.0, np.inf), 1.0), (4, 4, (0.0, 0.0), np.nan), (4, 4, (0.0, 0.0), np.inf)])
+    def test_rejects_empty_or_non_finite(self, h, w, origin, resolution):
+        with pytest.raises(ValueError):
+            GridSpec(h, w, origin, resolution)
+
 
 def rasterize_one(pos, grid, sigma_px):
     return rasterize_points(np.asarray(pos, dtype=np.float64)[None], grid, sigma_px)[0]

@@ -67,6 +67,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="cfg.t_h"):
             PredictionModel.load(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("grid.spec", np.zeros(3)), ("grid.spec", np.array([16, 16, 0.5, np.nan, 1.0])),
+        ("cfg.t_h", np.array([8.0, 8.0])), ("cfg.t_h", np.array(np.inf))])
+    def test_malformed_entry_rejected(self, setup, tmp_path, key, value):
+        model, _, _ = setup
+        path = tmp_path / "model.npz"
+        model.save(path)
+        import trajlab.nncore as nncore
+        arrays = nncore.load_checkpoint(path)
+        arrays[key] = value
+        nncore.save_checkpoint(path, arrays)
+        with pytest.raises(ValueError, match=key):
+            PredictionModel.load(path)
+
 
 class TestPredictWindow:
     def test_output_shape_and_reproducibility(self, setup):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference, rel_error
+from trajlab import nncore
 from trajlab.nncore import (Adam, Dense, LSTMCell, NonFiniteError, Parameter,
                             StepEmbedding, Tensor, adam_update, concat, conv2d,
                             load_checkpoint, save_checkpoint, upsample2x)
@@ -131,10 +132,19 @@ class TestConvUpsampleGrads:
         check_grad(lambda t: (conv2d(Tensor(x), t, Tensor(b)) ** 2).sum(), w)
         check_grad(lambda t: (conv2d(Tensor(x), Tensor(w), t) ** 2).sum(), b)
 
-    @pytest.mark.parametrize("stride, pad, size", CONV_CASES + [(2, 1, 6)])
-    def test_conv2d_input_grad(self, rng, stride, pad, size):
+    # square cases keep their (stride, pad, size) ids; a swapped kh/kw offset
+    # shows only with a non-square kernel
+    @pytest.mark.parametrize("stride, pad, size, kernel", [
+        pytest.param(*case, (3, 3), id="-".join(map(str, case)))
+        for case in CONV_CASES + [(2, 1, 6)]] + [
+        pytest.param(1, 1, 6, (2, 3), id="1-1-6-2x3"),
+        pytest.param(1, 1, 6, (3, 2), id="1-1-6-3x2"),
+        pytest.param(2, 1, 7, (2, 3), id="2-1-7-2x3"),
+        pytest.param(2, 1, 7, (3, 2), id="2-1-7-3x2")])
+    def test_conv2d_input_grad(self, rng, stride, pad, size, kernel):
+        kh, kw = kernel
         x = rng.standard_normal((2, 3, size, size + 1))
-        w = rng.standard_normal((4, 3, 3, 3)) * 0.3
+        w = rng.standard_normal((4, 3, kh, kw)) * 0.3
         b = rng.standard_normal(4)
         check_grad(lambda t: (conv2d(t, Tensor(w), Tensor(b), stride, pad) ** 2).sum(), x)
         p = Parameter(x)
@@ -143,7 +153,7 @@ class TestConvUpsampleGrads:
         out.backward(g)
         ho, wo = out.shape[2:]
         dcols = np.matmul(w.reshape(4, -1).T, g.reshape(2, 4, ho * wo))
-        ref = col2im_reference(dcols, x.shape, 3, 3, stride, pad, ho, wo)
+        ref = col2im_reference(dcols, x.shape, kh, kw, stride, pad, ho, wo)
         assert rel_error(p.grad, ref) < 1e-12
 
     @pytest.mark.parametrize("kernel, pad", [((3, 3), 3), ((2, 3), 2), ((3, 2), 2)],
@@ -303,6 +313,27 @@ def test_backward_accumulates_through_shared_node(rng):
     out = (p * p + p).sum()
     out.backward()
     assert p.grad[0] == pytest.approx(2 * 2.0 + 1.0)
+
+
+def test_gradients_only_for_inputs_that_need_them(rng, monkeypatch):
+    # conv2d's input gradient gathers the output gradient with `_im2col`; a
+    # data input must not pay for it, and a data leaf gets no gradient at all
+    x = rng.standard_normal((2, 3, 5, 5))
+    w = Parameter(rng.standard_normal((4, 3, 3, 3)))
+    b = Parameter(np.zeros(4))
+    for leaf, gathers in ((Tensor, 0), (Parameter, 1)):
+        out = (conv2d(leaf(x), w, b) ** 2).sum()
+        calls = []
+        monkeypatch.setattr(nncore, "_im2col",
+                            lambda *a, f=nncore._im2col: calls.append(1) or f(*a))
+        out.backward()
+        monkeypatch.undo()
+        assert len(calls) == gathers, leaf.__name__
+    d = Tensor(rng.standard_normal(3))
+    p = Parameter(rng.standard_normal(3))
+    ((p * d).exp() + d).sum().backward()
+    assert d.grad is None
+    assert np.array_equal(p.grad, d.data * np.exp(p.data * d.data))
 
 
 def test_graph_has_no_reference_cycles(rng):
