@@ -45,7 +45,7 @@ DEFAULTS: dict[str, dict[str, object]] = {
     "sampler": {"K_I": 20, "K_t": 20, "eta": 1.0, "N": 20, "rule": "ts"},
     "model": {"t_h": 8, "t_f": 12, "d_f": 64, "encoder_hidden": 64,
               "denoiser_width": 64, "denoiser_blocks": 3, "embed_dim": 32,
-              "goal_base_channels": 8, "sigma_px": 4.0, "agent_centric": True},
+              "goal_base_channels": 8, "sigma_px": 4.0},
     "train": {"lambda": 20.0, "epochs": 200, "batch_size": 32, "lr": 1e-3,
               "lr_decay": 0.99, "teacher_forcing": True, "val_fraction": 0.1,
               "max_seconds": 0.0},

@@ -73,7 +73,6 @@ def _run_config(model: PredictionModel, windows, sem: SemanticGrid,
                 seed: int, ttst: TTSTConfig | None):
     """One (rule, config) pass over all windows; returns (ade, fde, evals, ms)."""
     counter = CountingDenoiser(model.denoiser.predict_noise)
-    orig = model.denoiser.predict_noise
     model.denoiser.predict_noise = counter  # intercept for eval counting
     try:
         ades, fdes = [], []
@@ -88,7 +87,7 @@ def _run_config(model: PredictionModel, windows, sem: SemanticGrid,
             fdes.append(f_)
         elapsed_ms = (time.perf_counter() - start) * 1000.0 / max(len(windows), 1)
     finally:
-        model.denoiser.predict_noise = orig
+        del model.denoiser.predict_noise  # the class method shows through again
     per_window = counter.count // max(len(windows), 1)
     return float(np.mean(ades)), float(np.mean(fdes)), per_window, elapsed_ms
 

@@ -4,7 +4,9 @@ World coordinates are meters; GridSpec is the one affine map between world
 points and pixel centers, and it maps whole arrays of points at once. The
 predictor is a small encoder-decoder convnet with skip connections that turns
 stacked history heat-maps plus the semantic grid into per-frame future
-heat-maps; the last channel is the goal distribution.
+heat-map logits; the last channel is the goal distribution. Training and
+prediction share one goal stage: both reach the net through
+`predict_heatmaps`, which alone lays out its input for a batch of windows.
 Goal selection draws diverse goals categorically and takes the argmax pixel
 as the common goal. With the test-time sampling trick it oversamples and
 clusters the draws by k-means, which works on whole coordinate columns (no
@@ -13,7 +15,6 @@ loop over clusters) and stops once the labels repeat.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,19 +58,6 @@ class GridSpec:
 
 
 @dataclass
-class HeatMapStack:
-    grid: GridSpec
-    channels: np.ndarray  # (T, H, W)
-
-    def __post_init__(self):
-        self.channels = np.asarray(self.channels, dtype=np.float64)
-        if self.channels.ndim != 3:
-            raise ValueError("channels must be (T, H, W)")
-        if not np.all(np.isfinite(self.channels)) or np.any(self.channels < 0):
-            raise ValueError("heat-map values must be finite and non-negative")
-
-
-@dataclass
 class SemanticGrid:
     grid: GridSpec
     channels: np.ndarray  # (C, H, W) class scores in [0, 1]
@@ -89,8 +77,8 @@ class GoalSet:
 def rasterize_points(points: np.ndarray, grid: GridSpec, sigma_px: float) -> np.ndarray:
     """Isotropic Gaussians on (..., 2) world points at pixel centers: (..., H, W),
     each sum 1. A point outside the grid is an error naming the first (row-major)."""
-    if sigma_px <= 0:
-        raise ValueError("sigma_px must be positive")
+    if not sigma_px > 0:  # also catches NaN
+        raise ValueError(f"sigma_px must be positive, got {sigma_px}")
     points = np.asarray(points, dtype=np.float64)
     inside = grid.contains(points).ravel()
     if not np.all(inside):
@@ -151,15 +139,15 @@ class GoalNet:
         return out
 
 
-def predict_heatmaps(sem: SemanticGrid, hist: HeatMapStack, net: GoalNet) -> HeatMapStack:
-    """Future heat-maps from the semantic grid and stacked history maps."""
-    if sem.grid != hist.grid:
-        raise ValueError("semantic grid and history stack use different grids")
-    x = np.concatenate([hist.channels, sem.channels], axis=0)[None]
+def predict_heatmaps(hist_maps: np.ndarray, sem_channels: np.ndarray, net: GoalNet) -> Tensor:
+    """Goal-net logits (B, t_f, H, W) of (B, t_h, H, W) history maps. The one
+    place the net's input is laid out: history maps, then the (C, H, W)
+    semantic channels broadcast over the batch."""
+    sem_b = np.broadcast_to(sem_channels, (len(hist_maps),) + sem_channels.shape)
+    x = np.concatenate([hist_maps, sem_b], axis=1)
     if x.shape[1] != net.in_channels:
         raise ValueError(f"predictor expects {net.in_channels} input channels, got {x.shape[1]}")
-    logits = net.forward_t(Tensor(x)).data[0]
-    return HeatMapStack(hist.grid, 1.0 / (1.0 + np.exp(-logits)))
+    return net.forward_t(Tensor(x))
 
 
 # -- goal selection --

@@ -1,9 +1,11 @@
 """Composition of the goal predictor, condition encoder and noise predictor,
 plus checkpointing and the end-to-end prediction path for one window.
 
-The trajectory side works in an agent-centric frame: history, future and
-goals are shifted so the current position sits at the origin before encoding
-and diffusion, and predictions are shifted back afterwards.
+`goal_logits` is the one goal stage: the trainer and `predict_window` both
+call it, so the goal net sees the same input in both phases. The trajectory
+side always works in the agent frame: history, future and goals are shifted
+so the current position `history[-1]` sits at the origin before encoding and
+diffusion, and predictions are shifted back afterwards.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import numpy as np
 from . import nncore
 from .condition import SequenceEncoder, augment_batch
 from .denoiser import NoisePredictor
-from .goal import (GoalNet, GridSpec, HeatMapStack, SemanticGrid, TTSTConfig,
-                   predict_heatmaps, rasterize_points, select_goals)
+from .goal import (GoalNet, GridSpec, SemanticGrid, TTSTConfig, predict_heatmaps,
+                   rasterize_points, select_goals)
 from .sampler import NoiseStream, SamplerConfig, sample_standard, tree_sample
 from .schedule import NoiseSchedule, make_linear_schedule
 
@@ -33,7 +35,6 @@ class ModelConfig:
     goal_base_channels: int = 8
     sem_channels: int = 2
     sigma_px: float = 4.0
-    agent_centric: bool = True
     init_seed: int = 0
 
     def __post_init__(self):
@@ -41,6 +42,14 @@ class ModelConfig:
             raise ValueError(f"t_h must be >= 2 (velocities need two frames), got {self.t_h}")
         if self.t_f < 1:
             raise ValueError(f"t_f must be >= 1, got {self.t_f}")
+        # a Gaussian half a pixel off-centre on both axes (the farthest any in-grid
+        # point lies from its nearest pixel) must not underflow, so that every
+        # rasterized map has a positive, finite sum
+        with np.errstate(divide="ignore"):  # sigma_px ** 2 may underflow to 0
+            if not (np.isfinite(self.sigma_px) and self.sigma_px > 0
+                    and np.exp(-0.25 / np.float64(self.sigma_px) ** 2) > 0):
+                raise ValueError("sigma_px must be finite and large enough that a Gaussian "
+                                 f"half a pixel off-centre does not underflow, got {self.sigma_px}")
 
 
 class PredictionModel:
@@ -100,13 +109,21 @@ class PredictionModel:
 
     # -- inference --
 
-    def history_stack(self, history: np.ndarray) -> HeatMapStack:
-        return HeatMapStack(self.grid, rasterize_points(history, self.grid, self.cfg.sigma_px))
+    def history_stack(self, histories: np.ndarray) -> np.ndarray:
+        """(..., t_h, 2) world points -> (..., t_h, H, W) heat-maps."""
+        return rasterize_points(histories, self.grid, self.cfg.sigma_px)
+
+    def goal_logits(self, histories: np.ndarray, sem: SemanticGrid) -> nncore.Tensor:
+        """Goal-net logits (B, t_f, H, W) of (B, t_h, 2) histories, as a graph Tensor."""
+        if sem.grid != self.grid:
+            raise ValueError(f"semantic grid {sem.grid} does not match the model's grid "
+                             f"{self.grid}")
+        return predict_heatmaps(self.history_stack(histories), sem.channels, self.goal_net)
 
     def condition_features(self, history: np.ndarray, goals) -> tuple:
-        """Encode the common and diverse features of an agent-centric history
-        in one encoder batch (common goal first)."""
-        origin = history[-1] if self.cfg.agent_centric else np.zeros(2)
+        """Encode the common and diverse features of a history in the agent
+        frame, in one encoder batch (common goal first)."""
+        origin = history[-1]
         goals_c = np.vstack([goals.common, goals.diverse]) - origin
         hists_c = np.broadcast_to(history - origin, (len(goals_c),) + history.shape)
         kinds = ["common"] + ["diverse"] * len(goals.diverse)
@@ -118,18 +135,15 @@ class PredictionModel:
                        rng: NoiseStream, goal_rng: np.random.Generator,
                        rule: str = "ts", ttst: TTSTConfig | None = None) -> np.ndarray:
         """Full pipeline for one window; returns (N, t_f, 2) world-frame paths."""
-        maps = predict_heatmaps(sem, self.history_stack(history), self.goal_net)
-        goal_map = maps.channels[-1]
-        goals = select_goals(goal_map / goal_map.sum(), self.grid, sampler_cfg.N,
-                             ttst, goal_rng)
+        goal_map = self.goal_logits(history[None], sem)[0, -1].sigmoid().data
+        goals = select_goals(goal_map, self.grid, sampler_cfg.N, ttst, goal_rng)
         f_common, f_diverse = self.condition_features(history, goals)
         denoise = self.denoiser.predict_noise
         if rule == "ts":
             trajs = tree_sample(denoise, f_common, f_diverse, sampler_cfg, schedule, rng)
         else:
             trajs = sample_standard(denoise, f_diverse, sampler_cfg, schedule, rng, rule)
-        origin = history[-1] if self.cfg.agent_centric else np.zeros(2)
-        return np.stack(trajs) + origin
+        return np.stack(trajs) + history[-1]
 
 
 def default_schedule(K: int = 100, beta_start: float = 1e-4,

@@ -1,12 +1,14 @@
 """Losses and the end-to-end training loop.
 
 The goal head trains with mean binary cross-entropy against rasterized
-future heat-maps (`goal_loss`); the trajectory head trains with the standard
-noise matching objective, the mean squared error between drawn and predicted
-noise (`diffusion_loss`). Both return graph tensors, and the trainer
-optimises exactly these two. Teacher forcing feeds the ground-truth goal to
-the trajectory side; the estimated goal otherwise enters as plain numpy, so
-gradients never cross between the two heads.
+future heat-maps (`goal_loss`) on the logits of the model's one goal stage,
+`PredictionModel.goal_logits`, which prediction calls too; the trajectory
+head trains with the standard noise matching objective, the mean squared
+error between drawn and predicted noise (`diffusion_loss`), in the agent
+frame. Both return graph tensors, and the trainer optimises exactly these
+two. Teacher forcing feeds the ground-truth goal to the trajectory side; the
+estimated goal otherwise enters as plain numpy, so gradients never cross
+between the two heads.
 """
 
 from __future__ import annotations
@@ -88,17 +90,11 @@ class Trainer:
 
     def _batch_losses(self, histories: np.ndarray, futures: np.ndarray):
         model = self.model
-        mcfg = model.cfg
-
-        # goal branch
-        hist_maps = rasterize_points(histories, model.grid, mcfg.sigma_px)
-        sem_b = np.broadcast_to(self.sem.channels, (len(histories),) + self.sem.channels.shape)
-        x = np.concatenate([hist_maps, sem_b], axis=1)
-        logits = model.goal_net.forward_t(Tensor(x))
+        logits = model.goal_logits(histories, self.sem)
         l_goal = goal_loss(logits.sigmoid(), self._target_maps(futures))
 
-        # trajectory branch
-        origin = histories[:, -1] if mcfg.agent_centric else np.zeros((len(histories), 2))
+        # trajectory branch, in the agent frame
+        origin = histories[:, -1]
         hist_c = histories - origin[:, None]
         fut_c = futures - origin[:, None]
         if self.cfg.teacher_forcing:

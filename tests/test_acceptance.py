@@ -19,7 +19,7 @@ from trajlab.data import (SyntheticSceneConfig, Track, generate_synthetic,
                           write_trajectory_file)
 from trajlab.denoiser import NoisePredictor
 from trajlab.evaluation import ade, best_of_n, fde
-from trajlab.goal import GoalNet, GridSpec, SemanticGrid, predict_heatmaps
+from trajlab.goal import GoalNet, GridSpec, SemanticGrid
 from trajlab.model import ModelConfig, PredictionModel, default_schedule
 from trajlab.nncore import (Dense, LSTMCell, Parameter, Tensor, concat, conv2d,
                             upsample2x)
@@ -383,8 +383,7 @@ def test_criterion_08_end_to_end_desk_scale(desk_run):
     anchors_px = np.array([grid.world_to_pixel(a) for a in anchors])
     hits = 0
     for w in val_w:
-        gm = predict_heatmaps(sem, model.history_stack(w.history),
-                              model.goal_net).channels[-1]
+        gm = model.goal_logits(w.history[None], sem)[0, -1].sigmoid().data
         r, c = np.unravel_index(np.argmax(gm), gm.shape)
         if np.min(np.hypot(anchors_px[:, 0] - r, anchors_px[:, 1] - c)) <= 2.0:
             hits += 1

@@ -89,6 +89,9 @@ class TestExitCodes:
         ("train.val_fraction=1", "val_fraction"),
         ("data.stride=0", "stride"),
         ("model.t_h=1", "t_h"),
+        ("model.sigma_px=0", "sigma_px"),
+        ("model.sigma_px=nan", "sigma_px"),
+        ("model.sigma_px=0.01", "sigma_px"),
         ("eval.n_ttst=5", "n_ttst"),
         ("eval.trunk_steps=50 schedule.K=30", "trunk_steps"),
         ("synthetic.n_agents=0", "n_agents"),
@@ -107,6 +110,14 @@ class TestExitCodes:
             err = capsys.readouterr().err.strip()
             assert err.startswith("config error") and key in err
             assert len(err.splitlines()) == 1
+
+    def test_retired_agent_centric_key_is_2(self, tmp_path, capsys):
+        # the agent frame is always on; an older resolved.ini still names the knob
+        path = tmp_path / "resolved.ini"
+        path.write_text("[model]\nagent_centric = True\n")
+        assert main(["train", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error") and "agent_centric" in err
 
     def test_bad_env_seed_is_2(self, monkeypatch, capsys):
         monkeypatch.setenv("TRAJLAB_SEED", "abc")
@@ -206,7 +217,7 @@ class TestBadInputFiles:
         err = self.one_line_error(capsys)
         assert err.startswith("bad input file:") and "tracks.txt" in err
 
-    @pytest.mark.parametrize("damage", ["truncated", "unversioned", "nan-weight"])
+    @pytest.mark.parametrize("damage", ["truncated", "unversioned", "nan-weight", "tiny-sigma"])
     def test_unusable_checkpoint_names_it(self, pipeline, tmp_path, capsys, damage):
         _, data_dir, run_dir = pipeline
         ckpt = tmp_path / "checkpoint.npz"
@@ -216,8 +227,11 @@ class TestBadInputFiles:
         elif damage == "unversioned":
             del arrays["__format_version__"]
             np.savez(ckpt, **arrays)
-        else:
+        elif damage == "nan-weight":
             arrays["denoiser.outp.b"][3] = np.nan
+            np.savez(ckpt, **arrays)
+        else:  # every Gaussian of a 0.01 px sigma underflows
+            arrays["cfg.sigma_px"] = np.asarray(0.01)
             np.savez(ckpt, **arrays)
         for command in ("predict", "bench"):
             assert run(tmp_path / "run", command, "--set", f"data.dataset_dir={data_dir}",
@@ -225,6 +239,7 @@ class TestBadInputFiles:
                 == EXIT_CHECKPOINT
             err = capsys.readouterr().err.strip()
             assert len(err.splitlines()) == 1 and err.startswith(f"bad checkpoint: {ckpt}: ")
+            assert damage != "tiny-sigma" or "sigma_px" in err
 
     @pytest.mark.parametrize("grid", [
         SemanticGrid(GridSpec(16, 16, (0.5, 0.5), 1.0), np.ones((1, 16, 16))),

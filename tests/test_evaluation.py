@@ -110,6 +110,14 @@ class TestBench:
             assert np.isfinite(r.ade) and np.isfinite(r.fde)
             assert r.ms >= 0.0
 
+    def test_denoiser_left_unpatched(self, setup):
+        # the eval counter is an instance attribute only while a pass runs, so a
+        # later patch of the class method sees this model's calls
+        model, sem, sched, windows = setup
+        bench_samplers(model, windows, sem, sched, SamplerConfig(K=20, K_I=5, N=2, t_f=3),
+                       trunk_steps=(4,))
+        assert "predict_noise" not in vars(model.denoiser)
+
     def test_csv_layout(self, setup, tmp_path):
         row = BenchRow("ts", SamplerConfig(K=20, K_I=5, K_t=4, N=4, t_f=3),
                        1.25, 2.5, 36, 7.125)

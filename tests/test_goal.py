@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trajlab.goal import (GoalNet, GridSpec, HeatMapStack, SemanticGrid,
-                          TTSTConfig, _kmeans, load_semantic_grid, predict_heatmaps,
-                          rasterize_points, save_semantic_grid, select_goals)
+from trajlab.goal import (GoalNet, GridSpec, SemanticGrid, TTSTConfig, _kmeans,
+                          load_semantic_grid, predict_heatmaps, rasterize_points,
+                          save_semantic_grid, select_goals)
 
 
 @pytest.fixture
@@ -105,48 +105,48 @@ class TestRasterize:
             rasterize_points(pts, grid, 1.0)
 
     def test_rejects_bad_sigma(self, grid):
-        with pytest.raises(ValueError):
-            rasterize_one((4.0, 4.0), grid, 0.0)
-
-
-class TestHeatMapStack:
-    def test_rejects_negative(self, grid):
-        with pytest.raises(ValueError):
-            HeatMapStack(grid, -np.ones((2, 16, 16)))
+        for sigma in (0.0, np.nan):
+            with pytest.raises(ValueError, match="sigma_px"):
+                rasterize_one((4.0, 4.0), grid, sigma)
 
 
 class TestGoalNet:
-    def test_output_shape(self, grid, rng):
+    def test_output_shape(self, rng):
         net = GoalNet(in_channels=4, t_f=6, base=4, rng=rng)
-        sem = SemanticGrid(grid, np.ones((2, 16, 16)))
-        hist = HeatMapStack(grid, np.zeros((2, 16, 16)))
-        maps = predict_heatmaps(sem, hist, net)
-        assert maps.channels.shape == (6, 16, 16)
-        assert np.all((maps.channels > 0) & (maps.channels < 1))
+        logits = predict_heatmaps(np.zeros((3, 2, 16, 16)), np.ones((2, 16, 16)), net)
+        assert logits.shape == (3, 6, 16, 16)
+        assert np.all(np.isfinite(logits.data))
 
-    def test_zero_params_give_half_everywhere(self, grid, rng):
+    def test_zero_params_give_half_everywhere(self, rng):
         net = GoalNet(in_channels=3, t_f=2, base=4, rng=rng)
         for p in net.parameters().values():
             p.data[...] = 0.0
-        sem = SemanticGrid(grid, np.ones((1, 16, 16)))
-        hist = HeatMapStack(grid, np.zeros((2, 16, 16)))
-        maps = predict_heatmaps(sem, hist, net)
-        assert np.allclose(maps.channels, 0.5)
+        logits = predict_heatmaps(np.zeros((1, 2, 16, 16)), np.ones((1, 16, 16)), net)
+        assert np.array_equal(logits.data, np.zeros((1, 2, 16, 16)))
+        assert np.allclose(logits.sigmoid().data, 0.5)
 
-    def test_deterministic(self, grid):
+    def test_deterministic(self):
         net = GoalNet(in_channels=3, t_f=2, base=4, rng=np.random.default_rng(3))
-        sem = SemanticGrid(grid, np.random.default_rng(0).uniform(size=(1, 16, 16)))
-        hist = HeatMapStack(grid, np.full((2, 16, 16), 0.1))
-        a = predict_heatmaps(sem, hist, net).channels
-        b = predict_heatmaps(sem, hist, net).channels
+        sem = np.random.default_rng(0).uniform(size=(1, 16, 16))
+        hist = np.full((1, 2, 16, 16), 0.1)
+        a = predict_heatmaps(hist, sem, net).data
+        b = predict_heatmaps(hist, sem, net).data
         assert np.array_equal(a, b)
 
-    def test_channel_mismatch_rejected(self, grid, rng):
+    def test_batch_matches_single(self, rng):
+        # each window's logits are those of the window run alone
+        net = GoalNet(in_channels=3, t_f=2, base=4, rng=rng)
+        sem = rng.uniform(size=(1, 16, 16))
+        hist = rng.uniform(size=(3, 2, 16, 16))
+        batch = predict_heatmaps(hist, sem, net).data
+        for i in range(3):
+            assert np.allclose(batch[i], predict_heatmaps(hist[i:i + 1], sem, net).data[0],
+                               rtol=0.0, atol=1e-12)
+
+    def test_channel_mismatch_rejected(self, rng):
         net = GoalNet(in_channels=5, t_f=2, base=4, rng=rng)
-        sem = SemanticGrid(grid, np.ones((1, 16, 16)))
-        hist = HeatMapStack(grid, np.zeros((2, 16, 16)))
-        with pytest.raises(ValueError):
-            predict_heatmaps(sem, hist, net)
+        with pytest.raises(ValueError, match="expects 5 input channels, got 3"):
+            predict_heatmaps(np.zeros((1, 2, 16, 16)), np.ones((1, 16, 16)), net)
 
 
 def kmeans_init_reference(points, k, rng):

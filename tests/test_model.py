@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trajlab.goal import GridSpec, SemanticGrid, TTSTConfig
+from trajlab.goal import GridSpec, SemanticGrid, TTSTConfig, rasterize_points
 from trajlab.model import ModelConfig, PredictionModel, default_schedule
 from trajlab.sampler import NoiseStream, SamplerConfig
 
@@ -16,6 +16,24 @@ def setup():
     sem = SemanticGrid(grid, np.ones((1, 12, 12)))
     history = np.stack([np.linspace(2, 5, 4), np.full(4, 6.0)], axis=1)
     return model, sem, history
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("sigma_px", [0.0, -1.0, np.nan, np.inf, 0.01, 1e-200])
+    def test_bad_sigma_px_rejected(self, sigma_px):
+        # at 0.01 px every Gaussian underflows, even half a pixel off-centre
+        with pytest.raises(ValueError, match="sigma_px"):
+            ModelConfig(sigma_px=sigma_px)
+
+    def test_smallest_sigma_px_keeps_maps_finite(self):
+        # a sigma near the smallest accepted (~0.0183 px) still gives an in-grid
+        # point as far from the pixel centres as any a map of sum 1
+        sigma = 0.02
+        ModelConfig(sigma_px=sigma)
+        grid = GridSpec(4, 4, (0.0, 0.0), 1.0)
+        corner = np.array([[1.5 - 1e-12, 1.5 - 1e-12]])  # half a pixel off every centre
+        m = rasterize_points(corner, grid, sigma)
+        assert np.all(np.isfinite(m)) and m.sum() == pytest.approx(1.0)
 
 
 class TestCheckpoint:
@@ -66,6 +84,17 @@ class TestCheckpoint:
         nncore.save_checkpoint(path, arrays)
         with pytest.raises(ValueError, match="cfg.t_h"):
             PredictionModel.load(path)
+
+    def test_older_checkpoint_with_retired_key_loads(self, setup, tmp_path):
+        # checkpoints written while the agent frame was a knob carry cfg.agent_centric
+        model, _, _ = setup
+        path = tmp_path / "model.npz"
+        model.save(path)
+        import trajlab.nncore as nncore
+        arrays = nncore.load_checkpoint(path)
+        arrays["cfg.agent_centric"] = np.asarray(1.0)
+        nncore.save_checkpoint(path, arrays)
+        assert PredictionModel.load(path).cfg == model.cfg
 
     @pytest.mark.parametrize("key, value", [
         ("grid.spec", np.zeros(3)), ("grid.spec", np.array([16, 16, 0.5, np.nan, 1.0])),
@@ -119,6 +148,14 @@ class TestPredictWindow:
         # approximately; compare relative displacement of the mean endpoints
         assert np.allclose(moved.mean(axis=(0, 1)) - base.mean(axis=(0, 1)),
                            shift, atol=2.0)
+
+    def test_semantic_grid_off_the_model_grid_rejected(self, setup):
+        model, _, history = setup
+        sem = SemanticGrid(GridSpec(12, 12, (0.5, 0.5), 0.5), np.ones((1, 12, 12)))
+        scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3, t_f=3)
+        with pytest.raises(ValueError, match="does not match the model's grid"):
+            model.predict_window(history, sem, scfg, default_schedule(10), NoiseStream(0),
+                                 np.random.default_rng(0))
 
     def test_history_outside_grid_rejected(self, setup):
         model, sem, history = setup

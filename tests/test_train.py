@@ -134,6 +134,16 @@ class TestTrainer:
         hist = trainer.fit(tiny_windows(8), max_seconds=0.0)
         assert len(hist) == 1
 
+    def test_semantic_grid_off_the_model_grid_rejected(self):
+        # same shape, origin shifted by half a metre: the maps would not line up
+        model, _, sched, _ = tiny_setup()
+        shifted = GridSpec(12, 12, (1.0, 0.5), 1.0)
+        trainer = Trainer(model, SemanticGrid(shifted, np.ones((1, 12, 12))), sched,
+                          TrainConfig(batch_size=4))
+        with pytest.raises(ValueError, match=r"semantic grid .*1\.0, 0\.5.* does not "
+                                             r"match the model's grid .*0\.5, 0\.5"):
+            trainer.train_epoch(tiny_windows(4))
+
     def test_student_forcing_path_runs(self):
         model, sem, sched, trainer = tiny_setup(teacher_forcing=False, epochs=2)
         hist = trainer.fit(tiny_windows(8))
