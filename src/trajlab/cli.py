@@ -135,6 +135,9 @@ def _check_values(cfg: dict) -> None:
         raise ConfigError(f"[synthetic] n_agents must be >= 1, got {cfg['synthetic']['n_agents']}")
     if cfg["data"]["stride"] < 1:
         raise ConfigError(f"[data] stride must be >= 1, got {cfg['data']['stride']}")
+    for key in ("max_windows", "repeats"):
+        if cfg["eval"][key] < 1:
+            raise ConfigError(f"[eval] {key} must be >= 1, got {cfg['eval'][key]}")
     if cfg["eval"]["ttst"] and cfg["eval"]["n_ttst"] < cfg["sampler"]["N"]:
         raise ConfigError(f"[eval] n_ttst must be >= sampler.N, got {cfg['eval']['n_ttst']}")
 

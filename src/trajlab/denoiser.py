@@ -4,7 +4,7 @@ Conditioning is by concatenation: flattened noisy trajectory, sinusoidal
 step embedding, and the condition feature feed a dense trunk with residual
 blocks. `forward_t` builds the autodiff graph for training; `predict_noise`
 is the matching plain-numpy path used inside sampling loops, where per-call
-overhead dominates.
+overhead dominates: it reads each step's embedding from a cache.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ class NoisePredictor:
     def predict_noise(self, k: int, Yk: np.ndarray, f) -> np.ndarray:
         """Fast evaluation path; `f` is a ConditionFeature or a raw vector."""
         vec = getattr(f, "vector", f)
-        x = np.concatenate([np.asarray(Yk).ravel(), self.embed(k), np.asarray(vec)])
+        x = np.concatenate([np.asarray(Yk).ravel(), self.embed.step(k), np.asarray(vec)])
         h = np.tanh(x @ self.inp.w.data + self.inp.b.data)
         for d1, d2 in self.res:
             h = h + np.tanh(h @ d1.w.data + d1.b.data) @ d2.w.data + d2.b.data
         out = h @ self.outp.w.data + self.outp.b.data
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise ValueError(f"noise predictor produced non-finite output at step {k}")
         return out.reshape(self.t_f, 2)
 

@@ -135,9 +135,10 @@ class PredictionModel:
                        rng: NoiseStream, goal_rng: np.random.Generator,
                        rule: str = "ts", ttst: TTSTConfig | None = None) -> np.ndarray:
         """Full pipeline for one window; returns (N, t_f, 2) world-frame paths."""
-        goal_map = self.goal_logits(history[None], sem)[0, -1].sigmoid().data
-        goals = select_goals(goal_map, self.grid, sampler_cfg.N, ttst, goal_rng)
-        f_common, f_diverse = self.condition_features(history, goals)
+        with nncore.no_grad():  # the goal net and the encoder build no graph
+            goal_map = self.goal_logits(history[None], sem)[0, -1].sigmoid().data
+            goals = select_goals(goal_map, self.grid, sampler_cfg.N, ttst, goal_rng)
+            f_common, f_diverse = self.condition_features(history, goals)
         denoise = self.denoiser.predict_noise
         if rule == "ts":
             trajs = tree_sample(denoise, f_common, f_diverse, sampler_cfg, schedule, rng)

@@ -12,7 +12,9 @@ own. A tensor built from data therefore has no edges, and gradients nobody
 reads (of data leaves, or conv2d's input gradient when the input is data) are
 never computed. `Tensor.backward` is the one place that sums gradients into
 `.grad`. A grad_fn never holds its own output, so a graph has no reference
-cycles and is freed as soon as its last tensor is dropped.
+cycles and is freed as soon as its last tensor is dropped. Inside a
+`no_grad()` block no tensor keeps edges, so inference builds no graph and
+each op's saved inputs (conv2d's im2col matrix) are freed when it returns.
 
 conv2d's input gradient is the flipped-kernel correlation of the output
 gradient over the same `_im2col` gather as its forward, which needs
@@ -20,6 +22,8 @@ pad <= k - 1.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,6 +44,22 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+_recording = True  # whether new tensors keep their edges; see no_grad
+
+
+@contextmanager
+def no_grad():
+    """Within the block, ops record no edges: their results are constants
+    that no `backward` reaches. The previous setting returns on exit, also
+    when the block raises."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     # out of place: `__add__` hands the same array to both of its parents
     t.grad = g if t.grad is None else t.grad + g
@@ -51,7 +71,8 @@ class Tensor:
     def __init__(self, data, edges=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._edges = tuple((p, fn) for p, fn in edges if p._edges or isinstance(p, Parameter))
+        self._edges = (tuple((p, fn) for p, fn in edges if p._edges or isinstance(p, Parameter))
+                       if _recording else ())
 
     @property
     def shape(self):
@@ -297,11 +318,22 @@ class StepEmbedding:
         self.dim = dim
         half = dim // 2
         self.freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
+        self._steps: dict[int, np.ndarray] = {}
 
     def __call__(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=np.float64)
         ang = k[..., None] * self.freqs
         return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
+
+    def step(self, k: int) -> np.ndarray:
+        """The embedding of one integer step, computed by `__call__` once and
+        then shared read-only. The embedding has no weights, so it never goes
+        stale."""
+        e = self._steps.get(k)
+        if e is None:
+            e = self._steps[k] = self(k)
+            e.flags.writeable = False
+        return e
 
 
 # -- optimizer --
@@ -355,7 +387,8 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    with np.load(path) as f:
+    # np.load leaves a path it opened itself open when the file is not a zip
+    with open(path, "rb") as fh, np.load(fh) as f:
         if "__format_version__" not in f.files:
             raise ValueError("no __format_version__ entry")
         version = int(f["__format_version__"])

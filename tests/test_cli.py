@@ -93,6 +93,9 @@ class TestExitCodes:
         ("model.sigma_px=nan", "sigma_px"),
         ("model.sigma_px=0.01", "sigma_px"),
         ("eval.n_ttst=5", "n_ttst"),
+        ("eval.max_windows=0", "max_windows"),
+        ("eval.max_windows=-2", "max_windows"),
+        ("eval.repeats=0", "repeats"),
         ("eval.trunk_steps=50 schedule.K=30", "trunk_steps"),
         ("synthetic.n_agents=0", "n_agents"),
         ("synthetic.extent=-1", "extent"),

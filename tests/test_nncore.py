@@ -233,6 +233,18 @@ class TestLayers:
         d = np.linalg.norm(vs[:, None] - vs[None, :], axis=-1)
         assert np.min(d[~np.eye(100, dtype=bool)]) > 1e-3
 
+    def test_step_embedding_memo_matches_array_path(self):
+        # predict_noise reads `step(k)`; forward_t embeds a batch of steps
+        emb = StepEmbedding(32)
+        batch = emb(np.arange(1.0, 101.0))
+        for k in range(1, 101):
+            e = emb.step(k)
+            assert e.tobytes() == batch[k - 1].tobytes(), k
+            assert not e.flags.writeable
+            assert emb.step(k) is e
+        with pytest.raises(ValueError):
+            emb.step(3)[0] = 0.0
+
     def test_step_embedding_odd_dim_rejected(self):
         with pytest.raises(ValueError):
             StepEmbedding(7)
@@ -351,3 +363,36 @@ def test_graph_has_no_reference_cycles(rng):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_no_grad_records_no_edges(rng):
+    cell = LSTMCell(3, 4, rng)
+    w = Parameter(rng.standard_normal((2, 3, 3, 3)))
+    b = Parameter(np.zeros(2))
+    x = rng.standard_normal((1, 3, 5, 5))
+
+    def run():
+        h, c = cell(Tensor(rng.standard_normal((2, 3))), Tensor(np.zeros((2, 4))),
+                    Tensor(np.zeros((2, 4))))
+        y = upsample2x(conv2d(Tensor(x), w, b)).sigmoid()
+        return [h, c, y, concat([h, c]), (w * 2.0).sum()]
+
+    with nncore.no_grad():
+        assert all(t._edges == () for t in run())
+    assert all(t._edges for t in run())
+
+
+def test_no_grad_restores_recording_on_exit_and_on_raise():
+    p = Parameter(np.ones(2))
+    with nncore.no_grad():
+        with nncore.no_grad():
+            pass
+        assert (p * 2.0)._edges == ()  # the inner block restores "off"
+    assert (p * 2.0)._edges
+    with pytest.raises(RuntimeError):
+        with nncore.no_grad():
+            raise RuntimeError("inside")
+    out = (p * 2.0).sum()
+    assert out._edges
+    out.backward()
+    assert np.array_equal(p.grad, [2.0, 2.0])

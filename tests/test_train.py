@@ -5,6 +5,7 @@ from trajlab.data import TrajectoryWindow
 from trajlab.goal import GridSpec, SemanticGrid
 from trajlab.model import ModelConfig, PredictionModel, default_schedule
 from trajlab.nncore import Tensor
+from trajlab.sampler import NoiseStream, SamplerConfig
 from trajlab.schedule import make_linear_schedule
 from trajlab.train import (TrainConfig, Trainer, combined_loss, diffusion_loss,
                            goal_loss)
@@ -143,6 +144,21 @@ class TestTrainer:
         with pytest.raises(ValueError, match=r"semantic grid .*1\.0, 0\.5.* does not "
                                              r"match the model's grid .*0\.5, 0\.5"):
             trainer.train_epoch(tiny_windows(4))
+
+    def test_failed_prediction_leaves_training_recording(self):
+        # predict_window builds no graph; if one that raises left the tape off,
+        # the next training step would silently update nothing
+        windows = tiny_windows(4)
+        ref_model, _, _, ref_trainer = tiny_setup()
+        ref = ref_trainer.train_epoch(windows)
+        model, sem, sched, trainer = tiny_setup()
+        outside = windows[0].history + np.array([20.0, 0.0])
+        with pytest.raises(ValueError, match="outside grid"):
+            model.predict_window(outside, sem, SamplerConfig(K=10, K_I=5, K_t=2, N=3, t_f=3),
+                                 sched, NoiseStream(0), np.random.default_rng(0))
+        assert trainer.train_epoch(windows) == ref
+        for name, p in model.parameters().items():
+            assert p.data.tobytes() == ref_model.parameters()[name].data.tobytes(), name
 
     def test_student_forcing_path_runs(self):
         model, sem, sched, trainer = tiny_setup(teacher_forcing=False, epochs=2)
