@@ -26,11 +26,11 @@ import numpy as np
 
 from .data import (SyntheticSceneConfig, TrajectoryFileError, generate_synthetic,
                    make_windows, parse_trajectory_file, write_trajectory_file)
-from .evaluation import (bench_samplers, best_of_n, read_predictions_json,
+from .evaluation import (bench_samplers, best_of_n, predict_windows, read_predictions_json,
                          write_bench_csv, write_predictions_json)
 from .goal import TTSTConfig, load_semantic_grid, save_semantic_grid
 from .model import ModelConfig, PredictionModel, default_schedule
-from .sampler import NoiseStream, SamplerConfig, total_evals
+from .sampler import SamplerConfig, total_evals
 from .train import TrainConfig, Trainer
 
 EXIT_CONFIG = 2
@@ -114,6 +114,9 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
             cfg["run"]["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"TRAJLAB_SEED (run.seed): not an integer: {env_seed!r}") from None
+    if cfg["run"]["seed"] < 0:
+        source = "TRAJLAB_SEED (run.seed)" if env_seed is not None else "run.seed"
+        raise ConfigError(f"{source} must be >= 0, got {cfg['run']['seed']}")
     _check_values(cfg)
     return cfg
 
@@ -256,8 +259,9 @@ def cmd_train(cfg: dict) -> int:
 
 
 def _prediction_setup(cfg: dict):
-    """Validation windows, semantic grid and model for predict and bench. The
-    checkpoint must load and fit the dataset and config before any window runs."""
+    """Validation windows, semantic grid, model and TTST config for predict and
+    bench. The checkpoint must load and fit the dataset and config before any
+    window runs."""
     windows, sem = _load_dataset(cfg)
     _, val = _split(windows, cfg)
     path = cfg["eval"]["checkpoint"] or str(Path(cfg["run"]["out_dir"]) / "checkpoint.npz")
@@ -276,26 +280,19 @@ def _prediction_setup(cfg: dict):
     for name, ours, theirs, source in fits:
         if ours != theirs:
             raise CheckpointError(f"{path}: {name} {ours} does not match {theirs} from {source}")
-    return val[:cfg["eval"]["max_windows"]], sem, model
+    ttst = TTSTConfig(cfg["eval"]["n_ttst"]) if cfg["eval"]["ttst"] else None
+    return val[:cfg["eval"]["max_windows"]], sem, model, ttst
 
 
 def cmd_predict(cfg: dict) -> int:
     out = Path(cfg["run"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    val, sem, model = _prediction_setup(cfg)
-    schedule = _schedule(cfg)
-    scfg = _sampler_config(cfg)
-    ttst = TTSTConfig(cfg["eval"]["n_ttst"]) if cfg["eval"]["ttst"] else None
-    seed = cfg["run"]["seed"]
-    records = []
-    for i, w in enumerate(val):
-        preds = model.predict_window(w.history, sem, scfg, schedule,
-                                     NoiseStream(seed + i),
-                                     np.random.default_rng(seed + i),
-                                     rule=cfg["sampler"]["rule"], ttst=ttst)
-        records.append({"scene": w.scene_id, "agent": w.agent_id,
-                        "frame_base": w.frame_base, "predictions": preds,
-                        "gt": w.future})
+    val, sem, model, ttst = _prediction_setup(cfg)
+    records = [{"scene": w.scene_id, "agent": w.agent_id, "frame_base": w.frame_base,
+                "predictions": preds, "gt": w.future}
+               for w, preds in predict_windows(model, val, sem, _schedule(cfg),
+                                               _sampler_config(cfg), cfg["run"]["seed"],
+                                               cfg["sampler"]["rule"], ttst)]
     write_predictions_json(out / "predictions.json", records)
     write_snapshot(cfg, out / "resolved.ini")
     print(f"wrote {len(records)} prediction records to {out / 'predictions.json'}")
@@ -337,10 +334,8 @@ def cmd_bench(cfg: dict) -> int:
         raise ConfigError(f"[eval] trunk_steps: {e}") from e
     out = Path(cfg["run"]["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    val, sem, model = _prediction_setup(cfg)
-    schedule = _schedule(cfg)
-    ttst = TTSTConfig(cfg["eval"]["n_ttst"]) if cfg["eval"]["ttst"] else None
-    rows = bench_samplers(model, val, sem, schedule, _sampler_config(cfg),
+    val, sem, model, ttst = _prediction_setup(cfg)
+    rows = bench_samplers(model, val, sem, _schedule(cfg), _sampler_config(cfg),
                           trunk_steps=trunk_steps, seed=cfg["run"]["seed"],
                           ttst=ttst, repeats=cfg["eval"]["repeats"])
     write_bench_csv(out / "bench.csv", rows)

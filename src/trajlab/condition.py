@@ -4,8 +4,9 @@ Each history frame becomes an 8-vector [D, X, V, A]: offset to the goal,
 position, velocity, acceleration. Velocities/accelerations use first
 differences with the first row replicated so the row count stays t_h.
 One encoder (a small LSTM plus an output projection) is shared between the
-common-goal and diverse-goal features; training and inference both run its
-batched `forward_t`.
+common-goal and diverse-goal features. `PredictionModel.condition`, the one
+condition stage of training and prediction, builds the rows and calls the
+checked `encode`; the encoder knows no sampler kinds (common/diverse).
 """
 
 from __future__ import annotations
@@ -57,14 +58,14 @@ class SequenceEncoder:
             h, c = self.cell(Tensor(rows[:, t]), h, c)
         return self.proj(h)
 
-    def encode(self, rows: np.ndarray, kinds: list[str]) -> list[ConditionFeature]:
-        """Inference features for (B, t_h, 8) rows, one per row, tagged with its kind."""
+    def encode(self, rows: np.ndarray) -> Tensor:
+        """`forward_t` of (B, t_h, 8) rows with both sides checked finite: Tensor (B, d_f)."""
         if not np.all(np.isfinite(rows)):
             raise ValueError("augmented state contains non-finite entries")
-        out = self.forward_t(rows).data
-        if not np.all(np.isfinite(out)):
+        out = self.forward_t(rows)
+        if not np.all(np.isfinite(out.data)):
             raise ValueError("encoder produced non-finite activations")
-        return [ConditionFeature(v, kind) for v, kind in zip(out, kinds, strict=True)]
+        return out
 
     def parameters(self) -> dict:
         out = {}

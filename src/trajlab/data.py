@@ -9,6 +9,7 @@ multi-modal ground truth.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -56,8 +57,10 @@ def parse_trajectory_file(path, scene_id: str | None = None) -> list[Track]:
                 frame = int(float(parts[0]))
                 agent = int(float(parts[1]))
                 x, y = float(parts[2]), float(parts[3])
-            except ValueError as e:
+            except (ValueError, OverflowError) as e:  # int(float("inf")) overflows
                 raise TrajectoryFileError(f"{path}:{lineno}: unparseable numeric field: {e}") from e
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise TrajectoryFileError(f"{path}:{lineno}: non-finite position {x} {y}")
             if (frame, agent) in seen:
                 raise TrajectoryFileError(f"{path}:{lineno}: duplicate (frame={frame}, agent={agent})")
             seen.add((frame, agent))
@@ -155,17 +158,17 @@ class SyntheticSceneConfig:
     def __post_init__(self):
         if len(self.anchors) < 1:
             raise ValueError("need at least one goal anchor")
-        if any(len(a) != 2 for a in self.anchors):
-            raise ValueError(f"anchors must be x,y pairs, got {self.anchors}")
+        if any(len(a) != 2 for a in self.anchors) or not np.all(np.isfinite(self.anchors)):
+            raise ValueError(f"anchors must be finite x,y pairs, got {self.anchors}")
         if self.grid_size < 1:
             raise ValueError(f"grid_size must be >= 1, got {self.grid_size}")
-        # `not x > 0` and `not x >= 0` also reject NaN
-        if not self.extent > 0:
-            raise ValueError(f"extent must be > 0, got {self.extent}")
-        if not self.speed_std >= 0:
-            raise ValueError(f"speed_std must be >= 0, got {self.speed_std}")
-        if not self.heading_noise >= 0:
-            raise ValueError(f"heading_noise must be >= 0, got {self.heading_noise}")
+        if not (np.isfinite(self.extent) and self.extent > 0):
+            raise ValueError(f"extent must be finite and > 0, got {self.extent}")
+        if not np.isfinite(self.speed_mean):
+            raise ValueError(f"speed_mean must be finite, got {self.speed_mean}")
+        for name in ("speed_std", "heading_noise"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
     def grid_spec(self) -> GridSpec:
         n = self.grid_size

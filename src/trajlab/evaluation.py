@@ -68,6 +68,16 @@ class BenchRow:
                 f"{self.evals},{self.ms:.3f}")
 
 
+def predict_windows(model: PredictionModel, windows, sem: SemanticGrid,
+                    schedule: NoiseSchedule, cfg: SamplerConfig, seed: int,
+                    rule: str, ttst: TTSTConfig | None):
+    """Yield (window, (N, t_f, 2) predictions) in order; window i draws its
+    noise and its goals from seed + i."""
+    for i, w in enumerate(windows):
+        yield w, model.predict_window(w.history, sem, cfg, schedule, NoiseStream(seed + i),
+                                      np.random.default_rng(seed + i), rule=rule, ttst=ttst)
+
+
 def _run_config(model: PredictionModel, windows, sem: SemanticGrid,
                 schedule: NoiseSchedule, rule: str, cfg: SamplerConfig,
                 seed: int, ttst: TTSTConfig | None):
@@ -77,11 +87,7 @@ def _run_config(model: PredictionModel, windows, sem: SemanticGrid,
     try:
         ades, fdes = [], []
         start = time.perf_counter()
-        for i, w in enumerate(windows):
-            preds = model.predict_window(
-                w.history, sem, cfg, schedule,
-                NoiseStream(seed + i), np.random.default_rng(seed + i),
-                rule=rule, ttst=ttst)
+        for w, preds in predict_windows(model, windows, sem, schedule, cfg, seed, rule, ttst):
             a, f_ = best_of_n(preds, w.future)
             ades.append(a)
             fdes.append(f_)

@@ -8,7 +8,8 @@ heat-map logits; the last channel is the goal distribution. Training and
 prediction share one goal stage: both reach the net through
 `predict_heatmaps`, which alone lays out its input for a batch of windows.
 Goal selection draws diverse goals categorically and takes the argmax pixel
-as the common goal. With the test-time sampling trick it oversamples and
+as the common goal; `argmax_goals` is that rule's one home, and student-forced
+training uses it too. With the test-time sampling trick it oversamples and
 clusters the draws by k-means, which works on whole coordinate columns (no
 loop over clusters) and stops once the labels repeat.
 """
@@ -153,6 +154,14 @@ def predict_heatmaps(hist_maps: np.ndarray, sem_channels: np.ndarray, net: GoalN
 # -- goal selection --
 
 
+def argmax_goals(maps: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(..., 2) world points of the argmax pixel of each (..., H, W) map, the
+    lowest row-major index on ties."""
+    maps = np.asarray(maps)
+    flat = maps.reshape(maps.shape[:-2] + (-1,)).argmax(axis=-1)
+    return grid.pixel_to_world(*np.divmod(flat, grid.W))
+
+
 @dataclass(frozen=True)
 class TTSTConfig:
     n_samples: int = 1000
@@ -197,7 +206,7 @@ def _kmeans(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) ->
 def select_goals(goal_map: np.ndarray, grid: GridSpec, N: int,
                  ttst: TTSTConfig | None = None,
                  rng: np.random.Generator | None = None) -> GoalSet:
-    """Common goal = argmax pixel (lowest row-major index on ties); diverse
+    """Common goal = the map's `argmax_goals` point; diverse
     goals = N categorical pixel samples, or cluster centers of an oversampled
     draw when the test-time trick is enabled."""
     if N < 1:
@@ -208,8 +217,7 @@ def select_goals(goal_map: np.ndarray, grid: GridSpec, N: int,
     if total <= 0:
         raise ValueError("degenerate goal map (sum 0)")
     p = (goal_map / total).ravel()
-    flat_argmax = int(np.argmax(goal_map))
-    common = grid.pixel_to_world(*divmod(flat_argmax, grid.W))
+    common = argmax_goals(goal_map, grid)
 
     n_draw = N
     if ttst is not None:
@@ -254,6 +262,8 @@ def load_semantic_grid(path) -> SemanticGrid:
         payload = np.frombuffer(raw, dtype="<f4")
         if payload.size != c * h * w:
             raise ValueError(f"payload size {payload.size} != {c}*{h}*{w}")
+        if not np.all(np.isfinite(payload)):
+            raise ValueError("non-finite channel value")
         return SemanticGrid(grid, payload.reshape(c, h, w).astype(np.float64))
     except ValueError as e:
         raise ValueError(f"{path}: bad semantic grid: {e}") from e

@@ -1,11 +1,11 @@
 """Composition of the goal predictor, condition encoder and noise predictor,
 plus checkpointing and the end-to-end prediction path for one window.
 
-`goal_logits` is the one goal stage: the trainer and `predict_window` both
-call it, so the goal net sees the same input in both phases. The trajectory
-side always works in the agent frame: history, future and goals are shifted
-so the current position `history[-1]` sits at the origin before encoding and
-diffusion, and predictions are shifted back afterwards.
+`goal_logits` is the one goal stage and `condition` the one condition stage;
+the trainer and `predict_window` call both, so each network sees the same
+input in both phases. `condition` moves histories and goals to the agent
+frame (origin `history[-1]`), where diffusion runs too; predictions are shifted
+back. The encoder knows no sampler kinds: `condition_features` tags them.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nncore
-from .condition import SequenceEncoder, augment_batch
+from .condition import ConditionFeature, SequenceEncoder, augment_batch
 from .denoiser import NoisePredictor
 from .goal import (GoalNet, GridSpec, SemanticGrid, TTSTConfig, predict_heatmaps,
                    rasterize_points, select_goals)
@@ -40,16 +40,23 @@ class ModelConfig:
     def __post_init__(self):
         if self.t_h < 2:
             raise ValueError(f"t_h must be >= 2 (velocities need two frames), got {self.t_h}")
-        if self.t_f < 1:
-            raise ValueError(f"t_f must be >= 1, got {self.t_f}")
+        for name in ("t_f", "d_f", "encoder_hidden", "denoiser_width", "goal_base_channels",
+                     "sem_channels"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.denoiser_blocks < 0:
+            raise ValueError(f"denoiser_blocks must be >= 0, got {self.denoiser_blocks}")
+        if self.embed_dim < 2 or self.embed_dim % 2:
+            raise ValueError(f"embed_dim must be even and >= 2, got {self.embed_dim}")
         # a Gaussian half a pixel off-centre on both axes (the farthest any in-grid
         # point lies from its nearest pixel) must not underflow, so that every
-        # rasterized map has a positive, finite sum
-        with np.errstate(divide="ignore"):  # sigma_px ** 2 may underflow to 0
-            if not (np.isfinite(self.sigma_px) and self.sigma_px > 0
+        # rasterized map has a positive, finite sum; rasterizing squares sigma_px
+        with np.errstate(divide="ignore", over="ignore"):  # the square may under- or overflow
+            if not (np.isfinite(np.float64(self.sigma_px) ** 2) and self.sigma_px > 0
                     and np.exp(-0.25 / np.float64(self.sigma_px) ** 2) > 0):
-                raise ValueError("sigma_px must be finite and large enough that a Gaussian "
-                                 f"half a pixel off-centre does not underflow, got {self.sigma_px}")
+                raise ValueError("sigma_px must have a finite square and be large enough that a "
+                                 "Gaussian half a pixel off-centre does not underflow, "
+                                 f"got {self.sigma_px}")
 
 
 class PredictionModel:
@@ -120,15 +127,18 @@ class PredictionModel:
                              f"{self.grid}")
         return predict_heatmaps(self.history_stack(histories), sem.channels, self.goal_net)
 
+    def condition(self, histories: np.ndarray, goals: np.ndarray) -> nncore.Tensor:
+        """Encoder features (B, d_f) of (B, t_h, 2) world-frame histories and
+        (B, 2) goals, both moved to each history's agent frame, as a graph Tensor."""
+        origin = histories[:, -1]
+        return self.encoder.encode(augment_batch(histories - origin[:, None], goals - origin))
+
     def condition_features(self, history: np.ndarray, goals) -> tuple:
-        """Encode the common and diverse features of a history in the agent
-        frame, in one encoder batch (common goal first)."""
-        origin = history[-1]
-        goals_c = np.vstack([goals.common, goals.diverse]) - origin
-        hists_c = np.broadcast_to(history - origin, (len(goals_c),) + history.shape)
-        kinds = ["common"] + ["diverse"] * len(goals.diverse)
-        common, *diverse = self.encoder.encode(augment_batch(hists_c, goals_c), kinds)
-        return common, diverse
+        """The common feature and the N diverse features of one history, in one
+        encoder batch (common goal first)."""
+        points = np.vstack([goals.common, goals.diverse])
+        f = self.condition(np.broadcast_to(history, (len(points),) + history.shape), points).data
+        return ConditionFeature(f[0], "common"), [ConditionFeature(v, "diverse") for v in f[1:]]
 
     def predict_window(self, history: np.ndarray, sem: SemanticGrid,
                        sampler_cfg: SamplerConfig, schedule: NoiseSchedule,

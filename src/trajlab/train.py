@@ -6,9 +6,10 @@ future heat-maps (`goal_loss`) on the logits of the model's one goal stage,
 head trains with the standard noise matching objective, the mean squared
 error between drawn and predicted noise (`diffusion_loss`), in the agent
 frame. Both return graph tensors, and the trainer optimises exactly these
-two. Teacher forcing feeds the ground-truth goal to the trajectory side; the
-estimated goal otherwise enters as plain numpy, so gradients never cross
-between the two heads.
+two. The model's one condition stage, `PredictionModel.condition`, which
+prediction calls too, turns the goal into the denoiser's condition. Teacher
+forcing feeds it the ground-truth goal; the estimated goal (`argmax_goals`)
+otherwise enters as plain numpy, so gradients never cross between the heads.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condition import augment_batch
-from .goal import SemanticGrid, rasterize_points
+from .goal import SemanticGrid, argmax_goals, rasterize_points
 from .model import PredictionModel
 from .nncore import Adam, Tensor
 from .sampler import forward_noise
@@ -39,10 +39,14 @@ class TrainConfig:
     teacher_forcing: bool = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("loss weight must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda (goal-loss weight) must be finite and >= 0, got {self.lam}")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr", "lr_decay"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 def goal_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -93,20 +97,12 @@ class Trainer:
         logits = model.goal_logits(histories, self.sem)
         l_goal = goal_loss(logits.sigmoid(), self._target_maps(futures))
 
-        # trajectory branch, in the agent frame
-        origin = histories[:, -1]
-        hist_c = histories - origin[:, None]
-        fut_c = futures - origin[:, None]
         if self.cfg.teacher_forcing:
-            goals_c = fut_c[:, -1]  # ground-truth goal = last future point
-        else:
-            # estimated goal: argmax of the predicted goal map. The goal enters
-            # the trajectory branch as plain numpy, so no gradient flows back
-            # into the goal head (gradient stopping is structural here).
-            flat = logits.data[:, -1].reshape(len(histories), -1).argmax(axis=1)
-            goals = model.grid.pixel_to_world(*np.divmod(flat, model.grid.W))
-            goals_c = goals - origin
-        f = model.encoder.forward_t(augment_batch(hist_c, goals_c))
+            goals = futures[:, -1]  # ground-truth goal = last future point
+        else:  # estimated goal, plain numpy: no gradient flows back into the goal head
+            goals = argmax_goals(logits.data[:, -1], model.grid)
+        f = model.condition(histories, goals)
+        fut_c = futures - histories[:, -1:]  # the diffusion target, in the agent frame
         return l_goal, diffusion_loss(fut_c, f, model.denoiser, self.schedule, self.rng)
 
     def train_epoch(self, windows: list) -> dict:

@@ -92,6 +92,7 @@ class TestExitCodes:
         ("model.sigma_px=0", "sigma_px"),
         ("model.sigma_px=nan", "sigma_px"),
         ("model.sigma_px=0.01", "sigma_px"),
+        ("model.sigma_px=1e200", "sigma_px"),
         ("eval.n_ttst=5", "n_ttst"),
         ("eval.max_windows=0", "max_windows"),
         ("eval.max_windows=-2", "max_windows"),
@@ -103,6 +104,26 @@ class TestExitCodes:
         ("synthetic.grid_size=0", "grid_size"),
         ("synthetic.heading_noise=-0.1", "heading_noise"),
         ("synthetic.anchors=1,1,1", "anchors"),
+        ("synthetic.anchors=nan,1", "anchors"),
+        ("synthetic.extent=inf", "extent"),
+        ("synthetic.speed_mean=nan", "speed_mean"),
+        ("synthetic.heading_noise=inf", "heading_noise"),
+        ("train.epochs=0", "epochs"),
+        ("train.lr=nan", "lr"),
+        ("train.lr=-1", "lr"),
+        ("train.lr_decay=0", "lr_decay"),
+        ("train.lr_decay=inf", "lr_decay"),
+        ("train.lambda=nan", "lambda"),
+        ("train.lambda=-1", "lambda"),
+        ("run.seed=-1", "run.seed"),
+        ("model.embed_dim=5", "embed_dim"),
+        ("model.embed_dim=0", "embed_dim"),
+        ("model.t_f=0", "t_f"),
+        ("model.d_f=0", "d_f"),
+        ("model.encoder_hidden=0", "encoder_hidden"),
+        ("model.denoiser_width=0", "denoiser_width"),
+        ("model.denoiser_blocks=-1", "denoiser_blocks"),
+        ("model.goal_base_channels=0", "goal_base_channels"),
     ])
     def test_bad_config_value_is_2(self, override, key, capsys):
         sets = [arg for item in override.split() for arg in ("--set", item)]
@@ -127,6 +148,12 @@ class TestExitCodes:
         assert main(["train"]) == EXIT_CONFIG
         err = capsys.readouterr().err.strip()
         assert "TRAJLAB_SEED" in err and len(err.splitlines()) == 1
+
+    def test_negative_env_seed_is_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("TRAJLAB_SEED", "-3")
+        assert main(["train"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert "TRAJLAB_SEED" in err and "run.seed" in err and len(err.splitlines()) == 1
 
     def test_missing_config_file_is_3(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.ini")]) == EXIT_MISSING
@@ -195,6 +222,32 @@ class TestBadInputFiles:
             == EXIT_CHECKPOINT
         assert "tracks.txt:21:" in self.one_line_error(capsys)
 
+    @pytest.mark.parametrize("position", ["nan 2", "1 inf"])
+    def test_non_finite_track_position_names_the_line(self, tmp_path, capsys, position):
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, {1: (0, (2.0, 8.0), (0.3, 0.0))})
+        with open(data_dir / "tracks.txt", "a") as f:
+            f.write(f"300 1 {position}\n")
+        for command in ("train", "predict"):
+            assert run(tmp_path / "run", command, "--set", f"data.dataset_dir={data_dir}") \
+                == EXIT_CHECKPOINT
+            err = self.one_line_error(capsys)
+            assert "tracks.txt:21: non-finite position" in err and "semantic grid" not in err
+
+    def test_non_finite_grid_value_is_one_line(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        payload = np.ones(16 * 16, "<f4")
+        payload[37] = np.nan
+        write_dataset(data_dir, {1: (0, (2.0, 8.0), (0.3, 0.0))},
+                      b"TRAJGRID 1 16 16 1 0.5 0.5 1\n" + payload.tobytes())
+        for command in ("train", "predict"):
+            assert run(tmp_path / "run", command, "--set", f"data.dataset_dir={data_dir}") \
+                == EXIT_CHECKPOINT
+            err = self.one_line_error(capsys)
+            assert err.startswith(f"bad input file: {data_dir / 'semantic.grid'}: bad semantic "
+                                  "grid: non-finite channel value")
+        assert not (tmp_path / "run" / "checkpoint.npz").exists()
+
     @pytest.mark.parametrize("grid_bytes", [
         b"", b"TRAJGRID 1 16\n",
         pytest.param(b"TRAJGRID 1 16 16 1 0.5 0.5 nan\n" + ONES, id="nan-resolution"),
@@ -220,7 +273,8 @@ class TestBadInputFiles:
         err = self.one_line_error(capsys)
         assert err.startswith("bad input file:") and "tracks.txt" in err
 
-    @pytest.mark.parametrize("damage", ["truncated", "unversioned", "nan-weight", "tiny-sigma"])
+    @pytest.mark.parametrize("damage", ["truncated", "unversioned", "nan-weight", "tiny-sigma",
+                                        "odd-embed-dim", "zero-hidden"])
     def test_unusable_checkpoint_names_it(self, pipeline, tmp_path, capsys, damage):
         _, data_dir, run_dir = pipeline
         ckpt = tmp_path / "checkpoint.npz"
@@ -233,8 +287,10 @@ class TestBadInputFiles:
         elif damage == "nan-weight":
             arrays["denoiser.outp.b"][3] = np.nan
             np.savez(ckpt, **arrays)
-        else:  # every Gaussian of a 0.01 px sigma underflows
-            arrays["cfg.sigma_px"] = np.asarray(0.01)
+        else:  # every Gaussian of a 0.01 px sigma underflows, or a size is unusable
+            key, value = {"tiny-sigma": ("sigma_px", 0.01), "odd-embed-dim": ("embed_dim", 5.0),
+                          "zero-hidden": ("encoder_hidden", 0.0)}[damage]
+            arrays[f"cfg.{key}"] = np.asarray(value)
             np.savez(ckpt, **arrays)
         for command in ("predict", "bench"):
             assert run(tmp_path / "run", command, "--set", f"data.dataset_dir={data_dir}",
@@ -242,7 +298,7 @@ class TestBadInputFiles:
                 == EXIT_CHECKPOINT
             err = capsys.readouterr().err.strip()
             assert len(err.splitlines()) == 1 and err.startswith(f"bad checkpoint: {ckpt}: ")
-            assert damage != "tiny-sigma" or "sigma_px" in err
+            assert damage in ("truncated", "unversioned", "nan-weight") or key in err
 
     @pytest.mark.parametrize("grid", [
         SemanticGrid(GridSpec(16, 16, (0.5, 0.5), 1.0), np.ones((1, 16, 16))),

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import finite_difference, rel_error
 from trajlab.condition import SequenceEncoder, augment_batch
-from trajlab.nncore import Parameter
+from trajlab.nncore import Tensor
 
 
 def augment_one(X, g) -> np.ndarray:
@@ -49,30 +49,24 @@ class TestAugmentState:
 
 
 class TestSequenceEncoder:
-    def test_output_shape_and_metadata(self, rng):
+    def test_output_shape(self, rng):
         enc = SequenceEncoder(hidden=16, d_f=10, rng=rng)
         rows = augment_batch(rng.standard_normal((3, 8, 2)), rng.standard_normal((3, 2)))
-        feats = enc.encode(rows, ["common", "diverse", "diverse"])
-        assert [f.kind for f in feats] == ["common", "diverse", "diverse"]
-        assert all(f.vector.shape == (10,) for f in feats)
-
-    def test_one_kind_per_row(self, rng):
-        enc = SequenceEncoder(hidden=8, d_f=4, rng=rng)
-        with pytest.raises(ValueError):
-            enc.encode(rng.standard_normal((3, 8, 8)), ["common", "diverse"])
+        out = enc.encode(rows)
+        assert isinstance(out, Tensor) and out.shape == (3, 10)
 
     def test_deterministic(self, rng):
         enc = SequenceEncoder(hidden=8, d_f=4, rng=np.random.default_rng(1))
         rows = augment_one(rng.standard_normal((8, 2)), np.zeros(2))[None]
-        v1 = enc.encode(rows, ["common"])[0].vector
-        v2 = enc.encode(rows, ["common"])[0].vector
+        v1 = enc.encode(rows).data
+        v2 = enc.encode(rows).data
         assert np.array_equal(v1, v2)
 
     def test_goal_changes_feature(self, rng):
         enc = SequenceEncoder(hidden=8, d_f=4, rng=np.random.default_rng(1))
         X = rng.standard_normal((8, 2))
         rows = augment_batch(np.stack([X, X]), np.array([[0.0, 0.0], [5.0, 5.0]]))
-        v1, v2 = (f.vector for f in enc.encode(rows, ["diverse", "diverse"]))
+        v1, v2 = enc.encode(rows).data
         assert not np.allclose(v1, v2)
 
     def test_batched_forward_matches_single(self, rng):
@@ -87,8 +81,15 @@ class TestSequenceEncoder:
         enc = SequenceEncoder(hidden=8, d_f=4, rng=rng)
         rows = augment_one(np.zeros((4, 2)), np.zeros(2))[None]
         rows[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            enc.encode(rows, ["common"])
+        with pytest.raises(ValueError, match="augmented state contains non-finite"):
+            enc.encode(rows)
+
+    def test_rejects_nonfinite_output(self, rng):
+        enc = SequenceEncoder(hidden=8, d_f=4, rng=rng)
+        enc.proj.b.data[1] = np.inf
+        rows = augment_one(np.zeros((4, 2)), np.zeros(2))[None]
+        with pytest.raises(ValueError, match="encoder produced non-finite"):
+            enc.encode(rows)
 
     def test_parameter_gradients_finite_difference(self, rng):
         enc = SequenceEncoder(hidden=4, d_f=3, rng=np.random.default_rng(3))

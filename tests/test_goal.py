@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajlab.goal import (GoalNet, GridSpec, SemanticGrid, TTSTConfig, _kmeans,
-                          load_semantic_grid, predict_heatmaps, rasterize_points,
+                          argmax_goals, load_semantic_grid, predict_heatmaps, rasterize_points,
                           save_semantic_grid, select_goals)
 
 
@@ -227,6 +227,20 @@ class TestKMeans:
         empty = np.setdiff1d(np.arange(5), labels)
         assert empty.size > 0
         assert np.array_equal(got[empty], init[empty])
+
+
+def test_argmax_goals_matches_per_map_reference():
+    # a non-square grid, and integer maps with many ties: the lowest row-major
+    # index wins, as np.argmax on the flattened map gives it
+    grid = GridSpec(5, 7, (0.25, -1.0), 0.5)
+    maps = np.random.default_rng(4).integers(0, 3, size=(40, 5, 7)).astype(float)
+    maps[0] = 0.0  # every pixel tied
+    got = argmax_goals(maps, grid)
+    assert got.shape == (40, 2)
+    for m, g in zip(maps, got):
+        want = grid.pixel_to_world(*divmod(int(np.argmax(m)), grid.W))
+        assert g.tobytes() == want.tobytes()
+    assert np.array_equal(got[0], grid.pixel_to_world(0, 0))
 
 
 class TestSelectGoals:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trajlab.goal import GridSpec, SemanticGrid, TTSTConfig, rasterize_points
+from trajlab.goal import GoalSet, GridSpec, SemanticGrid, TTSTConfig, rasterize_points
 from trajlab.model import ModelConfig, PredictionModel, default_schedule
 from trajlab.sampler import NoiseStream, SamplerConfig
 
@@ -19,7 +19,7 @@ def setup():
 
 
 class TestModelConfig:
-    @pytest.mark.parametrize("sigma_px", [0.0, -1.0, np.nan, np.inf, 0.01, 1e-200])
+    @pytest.mark.parametrize("sigma_px", [0.0, -1.0, np.nan, np.inf, 0.01, 1e-200, 1e200])
     def test_bad_sigma_px_rejected(self, sigma_px):
         # at 0.01 px every Gaussian underflows, even half a pixel off-centre
         with pytest.raises(ValueError, match="sigma_px"):
@@ -109,6 +109,18 @@ class TestCheckpoint:
         nncore.save_checkpoint(path, arrays)
         with pytest.raises(ValueError, match=key):
             PredictionModel.load(path)
+
+
+def test_condition_features_tag_the_condition_rows(setup, rng):
+    # one "common" feature, then N "diverse" ones, each the bitwise row of the
+    # one condition stage for the goals [common; diverse]
+    model, _, history = setup
+    goals = GoalSet(diverse=rng.uniform(1, 11, size=(5, 2)), common=np.array([7.5, 3.0]))
+    common, diverse = model.condition_features(history, goals)
+    rows = model.condition(np.stack([history] * 6),
+                           np.vstack([goals.common, goals.diverse])).data
+    assert common.kind == "common" and [f.kind for f in diverse] == ["diverse"] * 5
+    assert np.stack([common.vector] + [f.vector for f in diverse]).tobytes() == rows.tobytes()
 
 
 class TestPredictWindow:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from trajlab.data import TrajectoryWindow
-from trajlab.goal import GridSpec, SemanticGrid
+from trajlab.goal import GridSpec, SemanticGrid, argmax_goals
 from trajlab.model import ModelConfig, PredictionModel, default_schedule
 from trajlab.nncore import Tensor
 from trajlab.sampler import NoiseStream, SamplerConfig
@@ -165,6 +165,32 @@ class TestTrainer:
         hist = trainer.fit(tiny_windows(8))
         assert len(hist) == 2
         assert all(np.isfinite(h["l_total"]) for h in hist)
+
+
+def tiny_batch(n=4):
+    windows = tiny_windows(n)
+    return np.stack([w.history for w in windows]), np.stack([w.future for w in windows])
+
+
+def test_student_forcing_conditions_on_argmax_goals(monkeypatch):
+    model, sem, _, trainer = tiny_setup(teacher_forcing=False)
+    histories, futures = tiny_batch()
+    want = argmax_goals(model.goal_logits(histories, sem).data[:, -1], GRID)
+    seen = []
+    condition = model.condition
+    monkeypatch.setattr(model, "condition", lambda h, g: seen.append(g) or condition(h, g))
+    trainer._batch_losses(histories, futures)
+    assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
+
+
+def test_trajectory_loss_is_translation_invariant():
+    # the condition and the diffusion target live in the agent frame, so a
+    # constant shift of the whole batch leaves l_traj unchanged
+    histories, futures = tiny_batch()
+    shift = np.array([1.25, 0.5])
+    _, ref = tiny_setup()[3]._batch_losses(histories, futures)
+    _, moved = tiny_setup()[3]._batch_losses(histories + shift, futures + shift)
+    assert abs(float(moved.data) - float(ref.data)) < 1e-12
 
 
 class TestLossDecoupling:
