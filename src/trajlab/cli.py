@@ -6,6 +6,9 @@ load, so a bad value is a configuration error that names its key.
 `--set section.key=value` overrides individual entries and the TRAJLAB_SEED
 environment variable overrides run.seed. Every run writes a resolved-config
 snapshot that can be fed back through any subcommand to reproduce it.
+The [model], [train], [sampler] and [synthetic] sections are the fields of
+their config classes (`CONFIG_SECTIONS`): a key's default and type are its
+field's. `DEFAULTS` adds the keys that no config class owns.
 
 Exit codes: 0 success, 2 configuration error, 3 missing input file,
 4 unusable checkpoint or bad input file.
@@ -19,7 +22,7 @@ import json
 import os
 import sys
 import zipfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,22 +40,42 @@ EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_CHECKPOINT = 4
 
-# full-scale reference configuration: K=100, K_I=20, K_t=20, eta in {0,1},
-# lambda in {20,40}, N=20, n_ttst=1000, t_h=8, t_f=12
+# section: (config class, {field the section leaves out: the "section.key" that
+# sets it, or None if no INI key does}); every other field is a key of the section
+CONFIG_SECTIONS = {
+    "sampler": (SamplerConfig, {"K": "schedule.K", "t_f": "model.t_f"}),
+    "model": (ModelConfig, {"sem_channels": None, "init_seed": "run.seed"}),
+    "train": (TrainConfig, {"seed": "run.seed"}),
+    "synthetic": (SyntheticSceneConfig, dict.fromkeys(
+        ("start_x", "start_y", "arrive_radius", "obstacles", "max_frames"))),
+}
+INI_KEYS = {"lam": "lambda"}  # a field whose INI key is not its name
+
+
+def _section_fields(section: str) -> dict:
+    """{INI key: field} of the config-class fields that a section sets."""
+    cls, left_out = CONFIG_SECTIONS[section]
+    return {INI_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name not in left_out}
+
+
+def _class_defaults(section: str) -> dict:
+    """The defaults of a section's config-class keys; anchors are an x,y;x,y string."""
+    defaults = {key: f.default for key, f in _section_fields(section).items()}
+    if "anchors" in defaults:
+        defaults["anchors"] = ";".join(",".join(np.format_float_positional(v, trim="-")
+                                                for v in a) for a in defaults["anchors"])
+    return defaults
+
+
+# the defaults are the paper's full-scale reference run, which also uses eta=0 and lambda=40
 DEFAULTS: dict[str, dict[str, object]] = {
     "run": {"seed": 0, "out_dir": "runs/out"},
     "schedule": {"K": 100, "beta_start": 1e-4, "beta_end": 0.05},
-    "sampler": {"K_I": 20, "K_t": 20, "eta": 1.0, "N": 20, "rule": "ts"},
-    "model": {"t_h": 8, "t_f": 12, "d_f": 64, "encoder_hidden": 64,
-              "denoiser_width": 64, "denoiser_blocks": 3, "embed_dim": 32,
-              "goal_base_channels": 8, "sigma_px": 4.0},
-    "train": {"lambda": 20.0, "epochs": 200, "batch_size": 32, "lr": 1e-3,
-              "lr_decay": 0.99, "teacher_forcing": True, "val_fraction": 0.1,
-              "max_seconds": 0.0},
+    "sampler": {**_class_defaults("sampler"), "rule": "ts"},
+    "model": _class_defaults("model"),
+    "train": {**_class_defaults("train"), "val_fraction": 0.1, "max_seconds": 0.0},
     "data": {"dataset_dir": "", "stride": 4},
-    "synthetic": {"n_agents": 2000, "extent": 16.0, "grid_size": 32,
-                  "anchors": "14,3;14,8;14,13", "speed_mean": 0.55,
-                  "speed_std": 0.05, "heading_noise": 0.06},
+    "synthetic": {"n_agents": 2000, **_class_defaults("synthetic")},
     "eval": {"ttst": True, "n_ttst": 1000, "max_windows": 64,
              "trunk_steps": "5,20,50", "repeats": 1,
              "checkpoint": "", "predictions": ""},
@@ -74,12 +97,10 @@ class CheckpointError(ValueError):
 def _convert(section: str, key: str, raw: str):
     default = DEFAULTS[section][key]
     try:
-        if isinstance(default, bool):
-            if raw.lower() in ("1", "true", "yes", "on"):
-                return True
-            if raw.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
+        if isinstance(default, bool):  # 1/true/yes/on or 0/false/no/off
+            if raw.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+                raise ValueError(f"not a boolean: {raw!r}")
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return type(default)(raw)
     except ValueError as e:
         raise ConfigError(f"[{section}] {key}: {e}") from e
@@ -124,23 +145,26 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
 def _check_values(cfg: dict) -> None:
     """Build each config object once, so that a bad value is a config error
     naming its section and key rather than a failure deep inside a command."""
-    sampler = lambda c: total_evals(c["sampler"]["rule"], _sampler_config(c))  # checks the rule
-    for section, build in (("schedule", _schedule), ("sampler", sampler), ("model", _model_config),
-                           ("train", _train_config), ("synthetic", _scene_config)):
+    for section in ("schedule", *CONFIG_SECTIONS):
         try:
-            build(cfg)
+            if section == "schedule":
+                default_schedule(**cfg["schedule"])
+            elif section == "sampler":
+                total_evals(cfg["sampler"]["rule"], _build(cfg, "sampler"))  # checks the rule
+            else:
+                _build(cfg, section)
         except ValueError as e:
             raise ConfigError(f"[{section}] {e}") from e
     if not 0.0 <= cfg["train"]["val_fraction"] < 1.0:
         raise ConfigError(f"[train] val_fraction must lie in [0, 1), "
                           f"got {cfg['train']['val_fraction']}")
-    if cfg["synthetic"]["n_agents"] < 1:
-        raise ConfigError(f"[synthetic] n_agents must be >= 1, got {cfg['synthetic']['n_agents']}")
-    if cfg["data"]["stride"] < 1:
-        raise ConfigError(f"[data] stride must be >= 1, got {cfg['data']['stride']}")
-    for key in ("max_windows", "repeats"):
-        if cfg["eval"][key] < 1:
-            raise ConfigError(f"[eval] {key} must be >= 1, got {cfg['eval'][key]}")
+    if not cfg["train"]["max_seconds"] >= 0.0:  # NaN fails too: training would never stop
+        raise ConfigError(f"[train] max_seconds must be >= 0 (0 = no limit), "
+                          f"got {cfg['train']['max_seconds']}")
+    for section, key in (("synthetic", "n_agents"), ("data", "stride"), ("eval", "max_windows"),
+                         ("eval", "repeats")):
+        if cfg[section][key] < 1:
+            raise ConfigError(f"[{section}] {key} must be >= 1, got {cfg[section][key]}")
     if cfg["eval"]["ttst"] and cfg["eval"]["n_ttst"] < cfg["sampler"]["N"]:
         raise ConfigError(f"[eval] n_ttst must be >= sampler.N, got {cfg['eval']['n_ttst']}")
 
@@ -148,42 +172,24 @@ def _check_values(cfg: dict) -> None:
 def write_snapshot(cfg: dict, path) -> None:
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    for section, kv in cfg.items():
-        parser[section] = {k: str(v) for k, v in kv.items()}
+    parser.read_dict(cfg)  # each value as str(value)
     with open(path, "w") as f:
         parser.write(f)
 
 
-def _scene_config(cfg: dict) -> SyntheticSceneConfig:
-    syn = cfg["synthetic"]
-    anchors = tuple(tuple(float(v) for v in a.split(",")) for a in syn["anchors"].split(";"))
-    return SyntheticSceneConfig(
-        extent=syn["extent"], grid_size=syn["grid_size"], anchors=anchors,
-        speed_mean=syn["speed_mean"], speed_std=syn["speed_std"],
-        heading_noise=syn["heading_noise"])
-
-
-def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(**cfg["model"], init_seed=cfg["run"]["seed"])
-
-
-def _sampler_config(cfg: dict, k_t: int | None = None) -> SamplerConfig:
-    s = cfg["sampler"]
-    return SamplerConfig(K=cfg["schedule"]["K"], K_I=s["K_I"],
-                         K_t=s["K_t"] if k_t is None else k_t,
-                         eta=s["eta"], N=s["N"], t_f=cfg["model"]["t_f"])
-
-
-def _schedule(cfg: dict):
-    sc = cfg["schedule"]
-    return default_schedule(sc["K"], sc["beta_start"], sc["beta_end"])
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    tc = cfg["train"]
-    return TrainConfig(lam=tc["lambda"], epochs=tc["epochs"], batch_size=tc["batch_size"],
-                       lr=tc["lr"], lr_decay=tc["lr_decay"], seed=cfg["run"]["seed"],
-                       teacher_forcing=tc["teacher_forcing"])
+def _build(cfg: dict, section: str, **extra):
+    """The config object of a `CONFIG_SECTIONS` section, from its keys, the
+    keys of other sections that set its fields, and `extra`."""
+    cls, left_out = CONFIG_SECTIONS[section]
+    values = {f.name: cfg[section][key] for key, f in _section_fields(section).items()}
+    if section == "synthetic":
+        values["anchors"] = tuple(tuple(float(v) for v in a.split(","))
+                                  for a in values["anchors"].split(";"))
+    for name, source in left_out.items():
+        if source is not None:
+            other, key = source.split(".")
+            values[name] = cfg[other][key]
+    return cls(**values, **extra)
 
 
 def _load_dataset(cfg: dict):
@@ -220,24 +226,18 @@ def _split(windows, cfg: dict):
     return train, val
 
 
-def cmd_synth_data(cfg: dict) -> int:
-    out = Path(cfg["run"]["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    scene = _scene_config(cfg)
+def cmd_synth_data(cfg: dict, out: Path) -> None:
+    scene = _build(cfg, "synthetic")
     rng = np.random.default_rng(cfg["run"]["seed"])
     tracks, sem, anchors = generate_synthetic(scene, cfg["synthetic"]["n_agents"], rng)
     write_trajectory_file(out / "tracks.txt", tracks)
     save_semantic_grid(out / "semantic.grid", sem)
     with open(out / "anchors.json", "w") as f:
         json.dump(anchors.tolist(), f)
-    write_snapshot(cfg, out / "resolved.ini")
     print(f"wrote {len(tracks)} tracks to {out}")
-    return 0
 
 
-def cmd_train(cfg: dict) -> int:
-    out = Path(cfg["run"]["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_train(cfg: dict, out: Path) -> None:
     windows, sem = _load_dataset(cfg)
     train_set, _ = _split(windows, cfg)
     if not train_set:
@@ -245,26 +245,22 @@ def cmd_train(cfg: dict) -> int:
         raise InputFileError(f"{tracks_path}: no training window: {len(windows)} windows in "
                              f"all, and validation holds out at least one")
     # the goal net takes as many semantic channels as the dataset's grid has
-    model = PredictionModel(replace(_model_config(cfg), sem_channels=len(sem.channels)),
-                            sem.grid)
-    trainer = Trainer(model, sem, _schedule(cfg), _train_config(cfg))
-    max_seconds = cfg["train"]["max_seconds"] or None
+    model = PredictionModel(_build(cfg, "model", sem_channels=len(sem.channels)), sem.grid)
+    trainer = Trainer(model, sem, default_schedule(**cfg["schedule"]), _build(cfg, "train"))
     history = trainer.fit(train_set, log_path=out / "metrics.csv",
-                          max_seconds=max_seconds)
+                          max_seconds=cfg["train"]["max_seconds"] or None)  # 0: no limit
     model.save(out / "checkpoint.npz")
-    write_snapshot(cfg, out / "resolved.ini")
     print(f"trained {len(history)} epochs on {len(train_set)} windows; "
           f"final l_total={history[-1]['l_total']:.4f}")
-    return 0
 
 
-def _prediction_setup(cfg: dict):
+def _prediction_setup(cfg: dict, out: Path):
     """Validation windows, semantic grid, model and TTST config for predict and
     bench. The checkpoint must load and fit the dataset and config before any
     window runs."""
     windows, sem = _load_dataset(cfg)
     _, val = _split(windows, cfg)
-    path = cfg["eval"]["checkpoint"] or str(Path(cfg["run"]["out_dir"]) / "checkpoint.npz")
+    path = cfg["eval"]["checkpoint"] or str(out / "checkpoint.npz")
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     # zipfile raises NotImplementedError when a corrupt entry names an unknown compression
@@ -284,24 +280,18 @@ def _prediction_setup(cfg: dict):
     return val[:cfg["eval"]["max_windows"]], sem, model, ttst
 
 
-def cmd_predict(cfg: dict) -> int:
-    out = Path(cfg["run"]["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    val, sem, model, ttst = _prediction_setup(cfg)
+def cmd_predict(cfg: dict, out: Path) -> None:
+    val, sem, model, ttst = _prediction_setup(cfg, out)
+    predictions = predict_windows(model, val, sem, default_schedule(**cfg["schedule"]),
+                                  _build(cfg, "sampler"), cfg["run"]["seed"],
+                                  cfg["sampler"]["rule"], ttst)
     records = [{"scene": w.scene_id, "agent": w.agent_id, "frame_base": w.frame_base,
-                "predictions": preds, "gt": w.future}
-               for w, preds in predict_windows(model, val, sem, _schedule(cfg),
-                                               _sampler_config(cfg), cfg["run"]["seed"],
-                                               cfg["sampler"]["rule"], ttst)]
+                "predictions": preds, "gt": w.future} for w, preds in predictions]
     write_predictions_json(out / "predictions.json", records)
-    write_snapshot(cfg, out / "resolved.ini")
     print(f"wrote {len(records)} prediction records to {out / 'predictions.json'}")
-    return 0
 
 
-def cmd_eval(cfg: dict) -> int:
-    out = Path(cfg["run"]["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_eval(cfg: dict, out: Path) -> None:
     path = cfg["eval"]["predictions"] or str(out / "predictions.json")
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -320,29 +310,24 @@ def cmd_eval(cfg: dict) -> int:
             fdes.append(d)
             f.write(f"{r['scene']},{r['agent']},{r['frame_base']},{a:.6f},{d:.6f}\n")
         f.write(f"mean,,,{np.mean(ades):.6f},{np.mean(fdes):.6f}\n")
-    write_snapshot(cfg, out / "resolved.ini")
     print(f"ADE={np.mean(ades):.4f} FDE={np.mean(fdes):.4f} over {len(records)} windows")
-    return 0
 
 
-def cmd_bench(cfg: dict) -> int:
+def cmd_bench(cfg: dict, out: Path) -> None:
     # not checked on load: only bench reads trunk_steps, and "5,20,50" needs K >= 50
+    sampler_cfg = _build(cfg, "sampler")
     try:
-        trunk_steps = tuple(_sampler_config(cfg, int(v)).K_t  # checks 0 <= K_t <= K
+        trunk_steps = tuple(replace(sampler_cfg, K_t=int(v)).K_t  # checks 0 <= K_t <= K
                             for v in cfg["eval"]["trunk_steps"].split(","))
     except ValueError as e:
         raise ConfigError(f"[eval] trunk_steps: {e}") from e
-    out = Path(cfg["run"]["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    val, sem, model, ttst = _prediction_setup(cfg)
-    rows = bench_samplers(model, val, sem, _schedule(cfg), _sampler_config(cfg),
+    val, sem, model, ttst = _prediction_setup(cfg, out)
+    rows = bench_samplers(model, val, sem, default_schedule(**cfg["schedule"]), sampler_cfg,
                           trunk_steps=trunk_steps, seed=cfg["run"]["seed"],
                           ttst=ttst, repeats=cfg["eval"]["repeats"])
     write_bench_csv(out / "bench.csv", rows)
-    write_snapshot(cfg, out / "resolved.ini")
     for row in rows:
         print(row.as_csv())
-    return 0
 
 
 COMMANDS = {"synth-data": cmd_synth_data, "train": cmd_train,
@@ -362,7 +347,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-        return COMMANDS[args.command](cfg)
+        out = Path(cfg["run"]["out_dir"])
+        out.mkdir(parents=True, exist_ok=True)
+        COMMANDS[args.command](cfg, out)
+        write_snapshot(cfg, out / "resolved.ini")  # to reproduce the run
+        return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

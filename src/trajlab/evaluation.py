@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,8 +110,7 @@ def bench_samplers(model: PredictionModel, windows, sem: SemanticGrid,
     """
     runs = [("ddpm", base_cfg), ("ddim", base_cfg), ("d_ddpm", base_cfg)]
     for kt in trunk_steps:
-        runs.append(("ts", SamplerConfig(base_cfg.K, base_cfg.K_I, kt, base_cfg.eta,
-                                         base_cfg.N, base_cfg.t_f)))
+        runs.append(("ts", replace(base_cfg, K_t=kt)))
     rows = []
     for rule, cfg in runs:
         _run_config(model, windows[:1], sem, schedule, rule, cfg, seed, ttst)  # warmup

@@ -6,11 +6,13 @@ the trainer and `predict_window` call both, so each network sees the same
 input in both phases. `condition` moves histories and goals to the agent
 frame (origin `history[-1]`), where diffusion runs too; predictions are shifted
 back. The encoder knows no sampler kinds: `condition_features` tags them.
+A checkpoint stores each `ModelConfig` field as a `cfg.*` number; `load` gives
+it its field's type and rejects a non-integral value for an integer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -86,21 +88,22 @@ class PredictionModel:
 
     @classmethod
     def load(cls, path) -> "PredictionModel":
-        """Rebuild a saved model. A missing, wrong-shaped or non-finite entry is
-        a ValueError naming it."""
+        """Rebuild a saved model. A missing, wrong-shaped or non-finite entry,
+        or a non-integral value for an integer, is a ValueError naming it."""
         arrays = nncore.load_checkpoint(path)
-        defaults = vars(ModelConfig())
         meta = {}
-        for key in [f"cfg.{name}" for name in defaults] + ["grid.spec"]:
+        for key in [f"cfg.{f.name}" for f in fields(ModelConfig)] + ["grid.spec"]:
             if key not in arrays:
                 raise ValueError(f"checkpoint missing {key!r}")
             meta[key] = arrays[key].astype(np.float64)
             if meta[key].shape != ((5,) if key == "grid.spec" else ()) \
                     or not np.all(np.isfinite(meta[key])):
                 raise ValueError(f"checkpoint {key!r} is not a finite value of the saved shape")
-        kwargs = {name: type(default)(meta[f"cfg.{name}"]) for name, default in defaults.items()}
+        kwargs = {f.name: _typed(f"cfg.{f.name}", meta[f"cfg.{f.name}"], type(f.default))
+                  for f in fields(ModelConfig)}
         g = meta["grid.spec"]
-        grid = GridSpec(int(g[0]), int(g[1]), (float(g[2]), float(g[3])), float(g[4]))
+        grid = GridSpec(_typed("grid.spec H", g[0], int), _typed("grid.spec W", g[1], int),
+                        (float(g[2]), float(g[3])), float(g[4]))
         model = cls(ModelConfig(**kwargs), grid)
         for name, p in model.parameters().items():
             if name not in arrays:
@@ -157,6 +160,11 @@ class PredictionModel:
         return np.stack(trajs) + history[-1]
 
 
-def default_schedule(K: int = 100, beta_start: float = 1e-4,
-                     beta_end: float = 0.05) -> NoiseSchedule:
-    return make_linear_schedule(K, beta_start, beta_end)
+def _typed(key: str, value, kind: type):
+    """A checkpoint number as `kind`; a value stored for an integer must be integral."""
+    if issubclass(kind, int) and not float(value).is_integer():
+        raise ValueError(f"checkpoint {key!r} is not an integer: {float(value)}")
+    return kind(value)
+
+
+default_schedule = make_linear_schedule

@@ -341,8 +341,6 @@ class StepEmbedding:
 
 def adam_update(value, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps_opt=1e-8):
     """One Adam step for a single array; returns (value, m, v)."""
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteError("non-finite gradient passed to adam_update")
     m = beta1 * m + (1.0 - beta1) * grad
     v = beta2 * v + (1.0 - beta2) * grad ** 2
     m_hat = m / (1.0 - beta1 ** step)

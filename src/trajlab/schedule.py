@@ -52,7 +52,8 @@ class NoiseSchedule:
         return 1.0 if k == 0 else float(self.alpha_bars[k - 1])
 
 
-def make_linear_schedule(K: int, beta_start: float = 1e-4, beta_end: float = 0.05) -> NoiseSchedule:
+def make_linear_schedule(K: int = 100, beta_start: float = 1e-4,
+                         beta_end: float = 0.05) -> NoiseSchedule:
     """Linearly spaced betas, endpoints included (K=1 gives [beta_start])."""
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")

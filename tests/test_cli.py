@@ -1,3 +1,4 @@
+import configparser
 import json
 
 import numpy as np
@@ -17,6 +18,68 @@ SMALL = [
     "--set", "train.epochs=2", "--set", "eval.max_windows=3",
     "--set", "eval.n_ttst=20", "--set", "data.stride=8",
 ]
+
+# the resolved.ini that `trajlab` writes for the defaults (load_config(None))
+DEFAULT_SNAPSHOT = """\
+[run]
+seed = 0
+out_dir = runs/out
+
+[schedule]
+K = 100
+beta_start = 0.0001
+beta_end = 0.05
+
+[sampler]
+K_I = 20
+K_t = 20
+eta = 1.0
+N = 20
+rule = ts
+
+[model]
+t_h = 8
+t_f = 12
+d_f = 64
+encoder_hidden = 64
+denoiser_width = 64
+denoiser_blocks = 3
+embed_dim = 32
+goal_base_channels = 8
+sigma_px = 4.0
+
+[train]
+lambda = 20.0
+epochs = 200
+batch_size = 32
+lr = 0.001
+lr_decay = 0.99
+teacher_forcing = True
+val_fraction = 0.1
+max_seconds = 0.0
+
+[data]
+dataset_dir =
+stride = 4
+
+[synthetic]
+n_agents = 2000
+extent = 16.0
+grid_size = 32
+anchors = 14,3;14,8;14,13
+speed_mean = 0.55
+speed_std = 0.05
+heading_noise = 0.06
+
+[eval]
+ttst = True
+n_ttst = 1000
+max_windows = 64
+trunk_steps = 5,20,50
+repeats = 1
+checkpoint =
+predictions =
+"""
 
 
 def run(out_dir, command, *extra):
@@ -77,6 +140,24 @@ class TestConfig:
         write_snapshot(cfg, path)
         assert load_config(str(path)) == cfg
 
+    def test_default_snapshot_keeps_its_keys(self, tmp_path):
+        # a config-class field that leaks into its section, or a key that goes
+        # missing from one, changes the INI surface that older snapshots use
+        path = tmp_path / "resolved.ini"
+        path.write_text(DEFAULT_SNAPSHOT)
+        assert load_config(str(path)) == load_config(None)
+        parser = configparser.ConfigParser()
+        parser.optionxform = str
+        parser.read_string(DEFAULT_SNAPSHOT)
+        assert {section: set(kv) for section, kv in load_config(None).items()} \
+            == {section: set(parser[section]) for section in parser.sections()}
+
+    @pytest.mark.parametrize("max_seconds", ["0", "inf"])
+    def test_max_seconds_zero_and_inf_are_valid(self, max_seconds):
+        # 0 means no limit
+        assert load_config(None, [f"train.max_seconds={max_seconds}"])["train"]["max_seconds"] \
+            == float(max_seconds)
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, capsys):
@@ -115,6 +196,8 @@ class TestExitCodes:
         ("train.lr_decay=inf", "lr_decay"),
         ("train.lambda=nan", "lambda"),
         ("train.lambda=-1", "lambda"),
+        ("train.max_seconds=nan", "max_seconds"),
+        ("train.max_seconds=-5", "max_seconds"),
         ("run.seed=-1", "run.seed"),
         ("model.embed_dim=5", "embed_dim"),
         ("model.embed_dim=0", "embed_dim"),
@@ -274,7 +357,7 @@ class TestBadInputFiles:
         assert err.startswith("bad input file:") and "tracks.txt" in err
 
     @pytest.mark.parametrize("damage", ["truncated", "unversioned", "nan-weight", "tiny-sigma",
-                                        "odd-embed-dim", "zero-hidden"])
+                                        "odd-embed-dim", "zero-hidden", "fractional-embed-dim"])
     def test_unusable_checkpoint_names_it(self, pipeline, tmp_path, capsys, damage):
         _, data_dir, run_dir = pipeline
         ckpt = tmp_path / "checkpoint.npz"
@@ -289,7 +372,8 @@ class TestBadInputFiles:
             np.savez(ckpt, **arrays)
         else:  # every Gaussian of a 0.01 px sigma underflows, or a size is unusable
             key, value = {"tiny-sigma": ("sigma_px", 0.01), "odd-embed-dim": ("embed_dim", 5.0),
-                          "zero-hidden": ("encoder_hidden", 0.0)}[damage]
+                          "zero-hidden": ("encoder_hidden", 0.0),
+                          "fractional-embed-dim": ("embed_dim", 4.7)}[damage]
             arrays[f"cfg.{key}"] = np.asarray(value)
             np.savez(ckpt, **arrays)
         for command in ("predict", "bench"):

@@ -98,7 +98,9 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("key, value", [
         ("grid.spec", np.zeros(3)), ("grid.spec", np.array([16, 16, 0.5, np.nan, 1.0])),
-        ("cfg.t_h", np.array([8.0, 8.0])), ("cfg.t_h", np.array(np.inf))])
+        ("cfg.t_h", np.array([8.0, 8.0])), ("cfg.t_h", np.array(np.inf)),
+        # an integer is not truncated: the model's grid is 12 x 12
+        ("cfg.init_seed", np.array(-0.5)), ("grid.spec", np.array([12.7, 12, 0.5, 0.5, 1.0]))])
     def test_malformed_entry_rejected(self, setup, tmp_path, key, value):
         model, _, _ = setup
         path = tmp_path / "model.npz"
