@@ -8,7 +8,8 @@ environment variable overrides run.seed. Every run writes a resolved-config
 snapshot that can be fed back through any subcommand to reproduce it.
 The [model], [train], [sampler] and [synthetic] sections are the fields of
 their config classes (`CONFIG_SECTIONS`): a key's default and type are its
-field's. `DEFAULTS` adds the keys that no config class owns.
+field's. `[schedule]`'s keys and defaults are `make_linear_schedule`'s
+parameters. `DEFAULTS` adds the keys that no config class owns.
 
 Exit codes: 0 success, 2 configuration error, 3 missing input file,
 4 unusable checkpoint or bad input file.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import json
 import os
 import sys
@@ -70,7 +72,8 @@ def _class_defaults(section: str) -> dict:
 # the defaults are the paper's full-scale reference run, which also uses eta=0 and lambda=40
 DEFAULTS: dict[str, dict[str, object]] = {
     "run": {"seed": 0, "out_dir": "runs/out"},
-    "schedule": {"K": 100, "beta_start": 1e-4, "beta_end": 0.05},
+    "schedule": {name: p.default
+                 for name, p in inspect.signature(default_schedule).parameters.items()},
     "sampler": {**_class_defaults("sampler"), "rule": "ts"},
     "model": _class_defaults("model"),
     "train": {**_class_defaults("train"), "val_fraction": 0.1, "max_seconds": 0.0},
@@ -248,7 +251,7 @@ def cmd_train(cfg: dict, out: Path) -> None:
     model = PredictionModel(_build(cfg, "model", sem_channels=len(sem.channels)), sem.grid)
     trainer = Trainer(model, sem, default_schedule(**cfg["schedule"]), _build(cfg, "train"))
     history = trainer.fit(train_set, log_path=out / "metrics.csv",
-                          max_seconds=cfg["train"]["max_seconds"] or None)  # 0: no limit
+                          max_seconds=cfg["train"]["max_seconds"])
     model.save(out / "checkpoint.npz")
     print(f"trained {len(history)} epochs on {len(train_set)} windows; "
           f"final l_total={history[-1]['l_total']:.4f}")

@@ -14,11 +14,11 @@ never computed. `Tensor.backward` is the one place that sums gradients into
 `.grad`. A grad_fn never holds its own output, so a graph has no reference
 cycles and is freed as soon as its last tensor is dropped. Inside a
 `no_grad()` block no tensor keeps edges, so inference builds no graph and
-each op's saved inputs (conv2d's im2col matrix) are freed when it returns.
+each op's saved inputs (conv2d's phase buffer) are freed when it returns.
 
-conv2d's input gradient is the flipped-kernel correlation of the output
-gradient over the same `_im2col` gather as its forward, which needs
-pad <= k - 1.
+conv2d builds no patch matrix: each kernel tap is one matmul over a shifted
+flat view of the padded input's stride phases, and the input gradient is the
+exact adjoint of those reads, so one path serves every stride and kernel.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class NonFiniteError(RuntimeError):
@@ -211,47 +210,94 @@ def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
 
 # -- convolution --
 
+_BLOCK_BYTES = 1 << 19  # a batch block's conv buffers stay within a core's L2 cache
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    b, c = x.shape[:2]
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    # (b, c, ho, wo, kh, kw) view of every kernel window
-    patches = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    ho, wo = patches.shape[2:4]
-    return patches.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, ho * wo), ho, wo
+
+def _phase_split(x: np.ndarray, stride: int, pad: int, rows: int, cols: int) -> np.ndarray:
+    """(B, C, H, W) zero-padded by `pad` as (B, C, stride**2, rows * cols): padded
+    pixel (r, c) lies in phase (r % stride) * stride + c % stride at flat offset
+    (r // stride) * cols + c // stride."""
+    b, c, h, w = x.shape
+    img = np.zeros((b, c, rows * stride, cols * stride))
+    img[:, :, pad:pad + h, pad:pad + w] = x
+    return (img.reshape(b, c, rows, stride, cols, stride).transpose(0, 1, 3, 5, 2, 4)
+            .reshape(b, c, stride * stride, rows * cols))
+
+
+def _phase_merge(xs: np.ndarray, stride: int, pad: int, cols: int, h: int, w: int) -> np.ndarray:
+    """The adjoint of `_phase_split`: the phases interleaved back into the padded
+    image, cropped to the (B, C, h, w) input."""
+    b, c, _, n = xs.shape
+    rows = n // cols
+    img = (xs.reshape(b, c, stride, stride, rows, cols).transpose(0, 1, 4, 2, 5, 3)
+           .reshape(b, c, rows * stride, cols * stride))
+    return img[:, :, pad:pad + h, pad:pad + w]
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
-    """3x3-style 2D convolution on (B, C, H, W) input; requires pad <= k - 1.
+    """2D cross-correlation of (B, C, H, W) input with a (C_out, C, kh, kw)
+    kernel; requires pad <= k - 1, so that every output row and column sees input.
 
-    The input gradient correlates the output gradient, written with step
-    `stride` at offset k - 1 - pad into a zero (H + kh - 1, W + kw - 1) buffer,
-    with the flipped kernel over the same `_im2col` gather, for every stride.
-    A larger pad would make that offset negative and the gradient wrong.
+    The padded input is split once into stride x stride phase images, each
+    flattened `cols` wide (`_phase_split`). Tap (i, j) reads phase
+    (i % stride, j % stride) from flat offset (i // stride) * cols + j // stride,
+    and the forward sums `w[:, :, i, j] @ view` over the taps. An output row
+    comes out `cols` wide; its cols - wo junk columns ran on into the next row
+    and are dropped. With the output gradient g laid out the same way (junk
+    columns zero), tap (i, j)'s weight gradient is `(g @ view.T).sum(0)`, and
+    the input gradient is the adjoint of the forward's reads: each phase
+    gathers `w[:, :, i, j].T @ g` over its taps, g shifted back by the tap's
+    offset (a shift past a row's start lands on the previous row's zero junk
+    columns), and `_phase_merge` interleaves the phases and crops the pad.
+    Forward and input gradient run over cache-sized blocks of the batch, which
+    change no sample's arithmetic.
     """
     cout, cin, kh, kw = w.data.shape
-    if x.data.shape[1] != cin:
-        raise ValueError(f"conv2d channel mismatch: input {x.data.shape[1]}, weight {cin}")
+    bsz, c, h, wd = x.data.shape
+    if c != cin:
+        raise ValueError(f"conv2d channel mismatch: input {c}, weight {cin}")
     if pad > kh - 1 or pad > kw - 1:
         raise ValueError(f"conv2d pad {pad} exceeds kernel size - 1 ({kh}x{kw} kernel)")
-    cols, ho, wo = _im2col(x.data, kh, kw, stride, pad)
-    w2 = w.data.reshape(cout, -1)
-    out_data = np.matmul(w2, cols) + b.data[:, None]
+    ho, wo = (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
+    if ho < 1 or wo < 1:
+        raise ValueError(f"conv2d {kh}x{kw} kernel does not fit the padded "
+                         f"{h + 2 * pad}x{wd + 2 * pad} input")
+    # the extra phase row holds the last output row's junk columns
+    rows, cols = -(-(h + 2 * pad) // stride) + 1, -(-(wd + 2 * pad) // stride)
+    xs = _phase_split(x.data, stride, pad, rows, cols)
+    taps = [((i % stride) * stride + j % stride, (i // stride) * cols + j // stride)
+            for i in range(kh) for j in range(kw)]
+    wt = w.data.transpose(2, 3, 0, 1).reshape(len(taps), cout, cin)  # one matrix a tap
+    n, lead = ho * cols, taps[-1][1]  # output columns; the largest offset
+    step = max(1, _BLOCK_BYTES // (xs[:1].nbytes + 8 * cout * n))
+    blocks = [slice(lo, lo + step) for lo in range(0, bsz, step)]
+    out = np.zeros((bsz, cout, n))
+    for blk in blocks:
+        for t, (p, off) in enumerate(taps):
+            out[blk] += wt[t] @ xs[blk, :, p, off:off + n]
+
+    def spread(g):
+        # g in `out`'s layout (junk columns zero) after `lead` zeros, one phase long;
+        # splitting the contiguous last axis makes the reshape a view
+        gs = np.zeros((len(g), cout, lead + rows * cols))
+        gs[:, :, lead:lead + n].reshape(len(g), cout, ho, cols)[..., :wo] = g
+        return gs
 
     def x_grad(g):
-        bsz, _, h_in, w_in = x.data.shape
-        oh, ow = kh - 1 - pad, kw - 1 - pad
-        gd = np.zeros((bsz, cout, h_in + kh - 1, w_in + kw - 1))
-        gd[:, :, oh:oh + stride * ho:stride, ow:ow + stride * wo:stride] = g
-        gcols = _im2col(gd, kh, kw, 1, 0)[0]
-        w_flip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, -1)
-        return np.matmul(w_flip, gcols).reshape(x.data.shape)
+        gs = spread(g)
+        dxs = np.zeros(xs.shape)
+        for blk in blocks:
+            for t, (p, off) in enumerate(taps):
+                dxs[blk, :, p] += wt[t].T @ gs[blk, :, lead - off:lead - off + rows * cols]
+        return _phase_merge(dxs, stride, pad, cols, h, wd)
 
     def w_grad(g):
-        g2 = g.reshape(g.shape[0], cout, ho * wo)
-        return np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
+        gs = spread(g)[:, :, lead:lead + n]
+        dw = np.stack([np.matmul(gs, xs[:, :, p, off:off + n].transpose(0, 2, 1)).sum(axis=0)
+                       for p, off in taps])
+        return dw.transpose(1, 2, 0).reshape(w.data.shape)
 
-    return Tensor(out_data.reshape(-1, cout, ho, wo),
+    return Tensor(out.reshape(bsz, cout, ho, cols)[..., :wo] + b.data[:, None, None],
                   ((w, w_grad), (b, lambda g: g.reshape(len(g), cout, -1).sum(axis=(0, 2))),
                    (x, x_grad)))
 

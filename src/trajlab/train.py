@@ -133,6 +133,8 @@ class Trainer:
                 "l_total": combined_loss(mean_traj, mean_goal, self.cfg.lam), "lr": lr}
 
     def fit(self, windows: list, log_path=None, max_seconds: float | None = None) -> list[dict]:
+        """Train `cfg.epochs` epochs, or stop after the first epoch that ends more
+        than `max_seconds` after the start; None or 0 means no limit."""
         history = []
         log = open(log_path, "w") if log_path else None
         if log:
@@ -146,7 +148,7 @@ class Trainer:
                 if log:
                     log.write(f"{epoch},{metrics['l_goal']:.8f},{metrics['l_traj']:.8f},"
                               f"{metrics['l_total']:.8f},{metrics['lr']:.8g}\n")
-                if max_seconds is not None and time.monotonic() - start_time > max_seconds:
+                if max_seconds and time.monotonic() - start_time > max_seconds:
                     break
         finally:
             if log:

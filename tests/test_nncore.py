@@ -1,7 +1,10 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import finite_difference, rel_error
 from trajlab import nncore
@@ -163,6 +166,86 @@ class TestConvUpsampleGrads:
         with pytest.raises(ValueError, match="pad"):
             conv2d(Tensor(rng.standard_normal((1, 1, 5, 5))), Tensor(w), Tensor(np.zeros(2)),
                    pad=pad)
+
+    def test_conv2d_kernel_larger_than_padded_input_rejected(self, rng):
+        w = rng.standard_normal((2, 1, 3, 3))
+        with pytest.raises(ValueError, match="does not fit"):
+            conv2d(Tensor(rng.standard_normal((1, 1, 2, 5))), Tensor(w), Tensor(np.zeros(2)),
+                   pad=0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_conv2d_every_stride_matches_direct_sums(self, data):
+        # one tap path serves every stride and kernel: forward, input and weight
+        # gradients against direct sums over the padded input's windows
+        draw = data.draw
+        kh, kw, stride = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        pad = draw(st.integers(0, min(kh, kw) - 1))
+        h = draw(st.integers(max(1, kh - 2 * pad), 9))
+        wd = draw(st.integers(max(1, kw - 2 * pad), 9))
+        bsz, cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        r = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        x = r.standard_normal((bsz, cin, h, wd))
+        w = r.standard_normal((cout, cin, kh, kw))
+        b = r.standard_normal(cout)
+        ho, wo = (h + 2 * pad - kh) // stride + 1, (wd + 2 * pad - kw) // stride + 1
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        ref = np.empty((bsz, cout, ho, wo))
+        for i in range(ho):
+            for j in range(wo):
+                window = xp[:, :, i * stride:i * stride + kh, j * stride:j * stride + kw]
+                ref[:, :, i, j] = np.einsum("bcpq,ocpq->bo", window, w) + b
+        px, pw = Parameter(x), Parameter(w)
+        out = conv2d(px, pw, Tensor(b), stride=stride, pad=pad)
+        assert out.shape == ref.shape
+        assert np.allclose(out.data, ref, rtol=1e-12, atol=1e-12)
+        g = r.standard_normal(ref.shape)
+        out.backward(g)
+        dcols = np.matmul(w.reshape(cout, -1).T, g.reshape(bsz, cout, ho * wo))
+        assert rel_error(px.grad, col2im_reference(dcols, x.shape, kh, kw, stride, pad, ho,
+                                                   wo)) < 1e-12
+        dw = np.empty(w.shape)
+        for i in range(kh):
+            for j in range(kw):
+                taps = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+                dw[:, :, i, j] = np.einsum("borq,bcrq->oc", g, taps)
+        assert rel_error(pw.grad, dw) < 1e-12
+
+    def test_conv2d_retains_less_than_three_inputs(self, rng):
+        # the op keeps its output and the padded input's phases, never a patch
+        # matrix kh * kw times the input's size
+        x = Parameter(rng.standard_normal((8, 12, 24, 24)))
+        w = Parameter(rng.standard_normal((8, 12, 3, 3)))
+        b = Parameter(np.zeros(8))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, w, b)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (8, 8, 24, 24)
+        assert retained < 3 * x.data.nbytes, retained / x.data.nbytes
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_batch_blocks_change_no_bit(self, rng, monkeypatch, stride):
+        # forward and input gradient run over blocks of the batch: one sample a
+        # block and the whole batch in one block give the same bits
+        x = rng.standard_normal((5, 3, 7, 8))
+        w = rng.standard_normal((4, 3, 3, 3))
+        b = rng.standard_normal(4)
+        g = None
+        runs = []
+        for block_bytes in (1, 1 << 40):
+            monkeypatch.setattr(nncore, "_BLOCK_BYTES", block_bytes)
+            px = Parameter(x)
+            out = conv2d(px, Tensor(w), Tensor(b), stride, 1)
+            g = rng.standard_normal(out.shape) if g is None else g
+            out.backward(g)
+            runs.append((out.data, px.grad))
+        assert all(np.array_equal(a, c) for a, c in zip(*runs))
 
     def test_conv2d_stride2(self, rng):
         x = rng.standard_normal((1, 2, 6, 6))
@@ -328,19 +411,19 @@ def test_backward_accumulates_through_shared_node(rng):
 
 
 def test_gradients_only_for_inputs_that_need_them(rng, monkeypatch):
-    # conv2d's input gradient gathers the output gradient with `_im2col`; a
-    # data input must not pay for it, and a data leaf gets no gradient at all
+    # conv2d's input gradient alone merges phases with `_phase_merge`; a data
+    # input must not pay for it, and a data leaf gets no gradient at all
     x = rng.standard_normal((2, 3, 5, 5))
     w = Parameter(rng.standard_normal((4, 3, 3, 3)))
     b = Parameter(np.zeros(4))
-    for leaf, gathers in ((Tensor, 0), (Parameter, 1)):
+    for leaf, merges in ((Tensor, 0), (Parameter, 1)):
         out = (conv2d(leaf(x), w, b) ** 2).sum()
         calls = []
-        monkeypatch.setattr(nncore, "_im2col",
-                            lambda *a, f=nncore._im2col: calls.append(1) or f(*a))
+        monkeypatch.setattr(nncore, "_phase_merge",
+                            lambda *a, f=nncore._phase_merge: calls.append(1) or f(*a))
         out.backward()
         monkeypatch.undo()
-        assert len(calls) == gathers, leaf.__name__
+        assert len(calls) == merges, leaf.__name__
     d = Tensor(rng.standard_normal(3))
     p = Parameter(rng.standard_normal(3))
     ((p * d).exp() + d).sum().backward()

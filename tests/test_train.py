@@ -132,8 +132,13 @@ class TestTrainer:
 
     def test_max_seconds_stops_early(self):
         _, _, _, trainer = tiny_setup(epochs=500)
-        hist = trainer.fit(tiny_windows(8), max_seconds=0.0)
+        hist = trainer.fit(tiny_windows(8), max_seconds=1e-9)
         assert len(hist) == 1
+
+    def test_max_seconds_zero_is_no_limit(self):
+        # the INI's `train.max_seconds = 0` reaches fit unchanged and means "no limit"
+        _, _, _, trainer = tiny_setup(epochs=3)
+        assert len(trainer.fit(tiny_windows(8), max_seconds=0)) == 3
 
     def test_semantic_grid_off_the_model_grid_rejected(self):
         # same shape, origin shifted by half a metre: the maps would not line up
