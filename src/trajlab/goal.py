@@ -1,4 +1,4 @@
-"""Heat-map goal prediction: rasterization, grid predictor, goal selection.
+"""Heat-map goal prediction: separable rasterization, grid predictor, goal selection.
 
 World coordinates are meters; GridSpec is the one affine map between world
 points and pixel centers, and it maps whole arrays of points at once. The
@@ -77,7 +77,8 @@ class GoalSet:
 
 def rasterize_points(points: np.ndarray, grid: GridSpec, sigma_px: float) -> np.ndarray:
     """Isotropic Gaussians on (..., 2) world points at pixel centers: (..., H, W),
-    each sum 1. A point outside the grid is an error naming the first (row-major)."""
+    each of sum 1: the outer product of a row and a column factor of sum 1 each, so
+    H + W `exp`s a map. A point outside the grid is an error naming the first (row-major)."""
     if not sigma_px > 0:  # also catches NaN
         raise ValueError(f"sigma_px must be positive, got {sigma_px}")
     points = np.asarray(points, dtype=np.float64)
@@ -86,11 +87,11 @@ def rasterize_points(points: np.ndarray, grid: GridSpec, sigma_px: float) -> np.
         i = int(np.argmin(inside))
         raise ValueError(f"position {i} {points.reshape(-1, 2)[i].tolist()} outside grid extent")
     rows, cols = grid.world_to_pixel(points)
-    rr = np.arange(grid.H)[:, None]
-    cc = np.arange(grid.W)[None, :]
-    d2 = (rr - rows[..., None, None]) ** 2 + (cc - cols[..., None, None]) ** 2
-    maps = np.exp(-0.5 * d2 / sigma_px ** 2)
-    return maps / maps.sum(axis=(-2, -1), keepdims=True)
+    gr = np.exp(-0.5 * (np.arange(grid.H) - rows[..., None]) ** 2 / sigma_px ** 2)
+    gc = np.exp(-0.5 * (np.arange(grid.W) - cols[..., None]) ** 2 / sigma_px ** 2)
+    gr /= gr.sum(axis=-1, keepdims=True)
+    gc /= gc.sum(axis=-1, keepdims=True)
+    return gr[..., :, None] * gc[..., None, :]
 
 
 class GoalNet:

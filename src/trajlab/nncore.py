@@ -18,7 +18,8 @@ each op's saved inputs (conv2d's phase buffer) are freed when it returns.
 
 conv2d builds no patch matrix: each kernel tap is one matmul over a shifted
 flat view of the padded input's stride phases, and the input gradient is the
-exact adjoint of those reads, so one path serves every stride and kernel.
+exact adjoint of those reads, so one path serves every stride and kernel. Its
+two gradients share one zero-padded copy of the output gradient.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 _recording = True  # whether new tensors keep their edges; see no_grad
+_BASIC_INDEX = (int, np.integer, slice, type(Ellipsis), type(None))
 
 
 @contextmanager
@@ -59,6 +61,10 @@ def no_grad():
         _recording = saved
 
 
+def _needs_grad(t: Tensor) -> bool:  # a Parameter, or a tensor with edges of its own
+    return bool(t._edges) or isinstance(t, Parameter)
+
+
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     # out of place: `__add__` hands the same array to both of its parents
     t.grad = g if t.grad is None else t.grad + g
@@ -70,8 +76,7 @@ class Tensor:
     def __init__(self, data, edges=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self._edges = (tuple((p, fn) for p, fn in edges if p._edges or isinstance(p, Parameter))
-                       if _recording else ())
+        self._edges = tuple(e for e in edges if _needs_grad(e[0])) if _recording else ()
 
     @property
     def shape(self):
@@ -181,9 +186,12 @@ class Tensor:
         return Tensor(self.data.reshape(*shape), ((self, lambda g: g.reshape(self.data.shape)),))
 
     def __getitem__(self, idx):
+        # basic indices read each element at most once, so the gradient is assigned
+        if any(isinstance(i, bool) or not isinstance(i, _BASIC_INDEX) for i in np.index_exp[idx]):
+            raise TypeError(f"Tensor takes basic indices only, got advanced index {idx!r}")
         def grad_fn(g):
             full = np.zeros_like(self.data)
-            np.add.at(full, idx, g)
+            full[idx] = g
             return full
 
         return Tensor(self.data[idx], ((self, grad_fn),))
@@ -283,8 +291,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
         gs[:, :, lead:lead + n].reshape(len(g), cout, ho, cols)[..., :wo] = g
         return gs
 
+    handoff = [] if _needs_grad(w) and _needs_grad(x) else None  # w_grad runs first, same g
+
     def x_grad(g):
-        gs = spread(g)
+        gs = handoff.pop() if handoff else spread(g)
         dxs = np.zeros(xs.shape)
         for blk in blocks:
             for t, (p, off) in enumerate(taps):
@@ -292,7 +302,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
         return _phase_merge(dxs, stride, pad, cols, h, wd)
 
     def w_grad(g):
-        gs = spread(g)[:, :, lead:lead + n]
+        gs = spread(g)
+        if handoff is not None:
+            handoff.append(gs)
+        gs = gs[:, :, lead:lead + n]
         dw = np.stack([np.matmul(gs, xs[:, :, p, off:off + n].transpose(0, 2, 1)).sum(axis=0)
                        for p, off in taps])
         return dw.transpose(1, 2, 0).reshape(w.data.shape)
@@ -303,10 +316,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
 
 
 def upsample2x(x: Tensor) -> Tensor:
-    """Nearest-neighbour 2x upsampling on (B, C, H, W)."""
+    """Nearest-neighbour 2x upsampling on (B, C, H, W); its gradient sums 4 strided slices."""
     def grad_fn(g):
-        b, c, h2, w2 = g.shape
-        return g.reshape(b, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
+        return g[..., ::2, ::2] + g[..., ::2, 1::2] + g[..., 1::2, ::2] + g[..., 1::2, 1::2]
 
     return Tensor(np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3), ((x, grad_fn),))
 

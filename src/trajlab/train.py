@@ -1,8 +1,8 @@
 """Losses and the end-to-end training loop.
 
-The goal head trains with mean binary cross-entropy against rasterized
-future heat-maps (`goal_loss`) on the logits of the model's one goal stage,
-`PredictionModel.goal_logits`, which prediction calls too; the trajectory
+The goal head trains with mean binary cross-entropy against rasterized future
+heat-maps (`goal_loss`, one op that takes the logits of the model's one goal
+stage, `PredictionModel.goal_logits`, which prediction calls too); the trajectory
 head trains with the standard noise matching objective, the mean squared
 error between drawn and predicted noise (`diffusion_loss`), in the agent
 frame. Both return graph tensors, and the trainer optimises exactly these
@@ -49,13 +49,16 @@ class TrainConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
-def goal_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy of per-pixel probabilities against target maps."""
-    if pred.shape != target.shape:
+def goal_loss(logits: Tensor, target: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy of sigmoid(logits), clipped to [BCE_CLIP, 1 - BCE_CLIP],
+    against target maps, as one op: its gradient is (p - t) / n, 0 where the clip engages."""
+    if logits.shape != target.shape:
         raise ValueError("prediction/target shape mismatch")
-    p = pred.clip(BCE_CLIP, 1.0 - BCE_CLIP)
-    t = Tensor(target)
-    return (-(t * p.log() + (1.0 - t) * (1.0 - p).log())).mean()
+    p = 1.0 / (1.0 + np.exp(-logits.data))
+    pc = np.clip(p, BCE_CLIP, 1.0 - BCE_CLIP)
+    bce = -(target * np.log(pc) + (1.0 - target) * np.log(1.0 - pc))
+    d = np.where((p > BCE_CLIP) & (p < 1.0 - BCE_CLIP), p - target, 0.0) * (1.0 / p.size)
+    return Tensor(bce.sum() * (1.0 / p.size), ((logits, lambda g: d * g),))
 
 
 def diffusion_loss(Y0: np.ndarray, f: Tensor, denoiser, s: NoiseSchedule,
@@ -87,15 +90,12 @@ class Trainer:
         self.opt = Adam(model.parameters(), lr=cfg.lr)
         self.rng = np.random.default_rng(cfg.seed)
 
-    # target maps peak at 1 so the per-pixel BCE has a meaningful positive class
-    def _target_maps(self, futures: np.ndarray) -> np.ndarray:
-        maps = rasterize_points(futures, self.model.grid, self.model.cfg.sigma_px)
-        return maps / maps.max(axis=(-2, -1), keepdims=True)
-
     def _batch_losses(self, histories: np.ndarray, futures: np.ndarray):
         model = self.model
         logits = model.goal_logits(histories, self.sem)
-        l_goal = goal_loss(logits.sigmoid(), self._target_maps(futures))
+        # target maps peak at 1 so the per-pixel BCE has a meaningful positive class
+        maps = rasterize_points(futures, model.grid, model.cfg.sigma_px)
+        l_goal = goal_loss(logits, maps / maps.max(axis=(-2, -1), keepdims=True))
 
         if self.cfg.teacher_forcing:
             goals = futures[:, -1]  # ground-truth goal = last future point
@@ -109,8 +109,7 @@ class Trainer:
         if not windows:
             raise ValueError("empty training set")
         order = self.rng.permutation(len(windows))
-        sums = {"l_goal": 0.0, "l_traj": 0.0}
-        n_batches = 0
+        losses = []  # (l_goal, l_traj) of each batch
         for start in range(0, len(order), self.cfg.batch_size):
             batch = [windows[i] for i in order[start:start + self.cfg.batch_size]]
             histories = np.stack([w.history for w in batch])
@@ -122,13 +121,11 @@ class Trainer:
             self.opt.zero_grad()
             total.backward()
             self.opt.step()
-            sums["l_goal"] += float(l_goal.data)
-            sums["l_traj"] += float(l_traj.data)
-            n_batches += 1
+            losses.append((float(l_goal.data), float(l_traj.data)))
+            del l_goal, l_traj, total  # the graph goes before the next batch builds its own
         lr = self.opt.lr
         self.opt.lr *= self.cfg.lr_decay
-        mean_goal = sums["l_goal"] / n_batches
-        mean_traj = sums["l_traj"] / n_batches
+        mean_goal, mean_traj = (sum(col) / len(losses) for col in zip(*losses))
         return {"l_goal": mean_goal, "l_traj": mean_traj,
                 "l_total": combined_loss(mean_traj, mean_goal, self.cfg.lam), "lr": lr}
 

@@ -96,6 +96,21 @@ class TestRasterize:
             for i in np.ndindex(batch_pts.shape[:-1]):
                 assert np.array_equal(batch[i], rasterize_one(batch_pts[i], grid, 1.2))
 
+    @pytest.mark.parametrize("sigma", [0.02, 1.5, 4.0])
+    def test_separable_matches_direct_formula(self, sigma, rng):
+        # the outer product of row and column factors against exp(-d^2 / 2 sigma^2)
+        # over the pixel grid, normalised. At small sigma both carry the rounding
+        # of an exponent up to 0.25 / sigma^2 (625 at 0.02), which bounds the gap
+        grid = GridSpec(24, 20, (0.5, 0.5), 1.0)
+        pts = rng.uniform(0.0, 20.0, size=(200, 2))
+        rows, cols = grid.world_to_pixel(pts)
+        d2 = ((np.arange(24)[:, None] - rows[:, None, None]) ** 2
+              + (np.arange(20)[None, :] - cols[:, None, None]) ** 2)
+        direct = np.exp(-0.5 * d2 / sigma ** 2)
+        direct /= direct.sum(axis=(-2, -1), keepdims=True)
+        atol = max(1e-15, np.finfo(float).eps * 0.25 / sigma ** 2)
+        assert np.max(np.abs(rasterize_points(pts, grid, sigma) - direct)) <= atol
+
     def test_rejects_out_of_grid(self, grid):
         with pytest.raises(ValueError, match="outside grid"):
             rasterize_one((20.0, 4.0), grid, 1.0)

@@ -11,6 +11,7 @@ from trajlab import nncore
 from trajlab.nncore import (Adam, Dense, LSTMCell, NonFiniteError, Parameter,
                             StepEmbedding, Tensor, adam_update, concat, conv2d,
                             load_checkpoint, save_checkpoint, upsample2x)
+from trajlab.train import goal_loss
 
 
 def col2im_reference(cols: np.ndarray, x_shape, kh, kw, stride, pad, ho, wo):
@@ -79,6 +80,14 @@ class TestElementwiseGrads:
         check_grad(lambda t: t.mean(), x)
         check_grad(lambda t: t[1:, :2].sum(), x)
         check_grad(lambda t: t.reshape(12).sum(), x)
+
+    def test_getitem_basic_indices_only(self, rng):
+        x = rng.standard_normal((3, 4))
+        check_grad(lambda t: (t[0, -1] * t[..., None, 1:3]).sum(), x)
+        check_grad(lambda t: t[np.int64(2)].sum(), x)
+        for idx in ([0, 2], np.array([1]), (slice(None), [1, 1]), x > 0, True):
+            with pytest.raises(TypeError, match="advanced index"):
+                Tensor(x)[idx]
 
     def test_broadcast_add(self, rng):
         x = rng.standard_normal((4,))
@@ -246,6 +255,26 @@ class TestConvUpsampleGrads:
             out.backward(g)
             runs.append((out.data, px.grad))
         assert all(np.array_equal(a, c) for a, c in zip(*runs))
+
+    @pytest.mark.parametrize("x_leaf, w_leaf", [(Parameter, Parameter), (Tensor, Parameter),
+                                                (Parameter, Tensor)])
+    def test_conv2d_gradients_follow_each_backward(self, rng, x_leaf, w_leaf):
+        # the padded output gradient one gradient builds and the other reuses
+        # belongs to one backward: a second backward through the same op with
+        # another seed must add exactly its own gradients
+        x = rng.standard_normal((2, 3, 5, 6))
+        w = rng.standard_normal((4, 3, 3, 3))
+        g1, g2 = rng.standard_normal((2, 2, 4, 3, 3))
+        grads = []
+        for seeds in ([g1], [g2], [g1, g2]):
+            px, pw = x_leaf(x), w_leaf(w)
+            out = conv2d(px, pw, Tensor(np.zeros(4)), stride=2)
+            for g in seeds:
+                out.grad = None
+                out.backward(g)
+            grads.append([t.grad for t in (px, pw) if isinstance(t, Parameter)])
+        for one, two, both in zip(*grads):
+            assert np.allclose(both, one + two, rtol=1e-13, atol=1e-13)
 
     def test_conv2d_stride2(self, rng):
         x = rng.standard_normal((1, 2, 6, 6))
@@ -443,6 +472,16 @@ def test_graph_has_no_reference_cycles(rng):
         loss = (h.exp() + c.tanh()).sum()
         loss.backward()
         del h, c, loss
+        assert gc.collect() == 0
+        # the goal head's path: both conv2d gradients share one padded output
+        # gradient, and the loss is one op on the logits
+        w1 = Parameter(rng.standard_normal((3, 2, 3, 3)))
+        w2 = Parameter(rng.standard_normal((3, 3, 3, 3)))
+        b = Parameter(np.zeros(3))
+        h = conv2d(Parameter(rng.standard_normal((2, 2, 4, 4))), w1, b, stride=2)
+        loss = goal_loss(upsample2x(conv2d(h, w2, b)), np.full((2, 3, 4, 4), 0.5))
+        loss.backward()
+        del h, loss
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from trajlab.data import TrajectoryWindow
 from trajlab.goal import GridSpec, SemanticGrid, argmax_goals
 from trajlab.model import ModelConfig, PredictionModel, default_schedule
-from trajlab.nncore import Tensor
+from conftest import finite_difference, rel_error
+from trajlab.nncore import Parameter, Tensor
 from trajlab.sampler import NoiseStream, SamplerConfig
 from trajlab.schedule import make_linear_schedule
-from trajlab.train import (TrainConfig, Trainer, combined_loss, diffusion_loss,
+from trajlab.train import (BCE_CLIP, TrainConfig, Trainer, combined_loss, diffusion_loss,
                            goal_loss)
 
 GRID = GridSpec(12, 12, (0.5, 0.5), 1.0)
@@ -36,27 +39,66 @@ def tiny_windows(n=8, seed=0):
     return out
 
 
+def goal_loss_chain(probs: Tensor, target: np.ndarray) -> Tensor:
+    """The goal loss as a chain of Tensor ops on sigmoid probabilities, the
+    composition `goal_loss` replaces, kept as the oracle."""
+    p = probs.clip(BCE_CLIP, 1.0 - BCE_CLIP)
+    t = Tensor(target)
+    return (-(t * p.log() + (1.0 - t) * (1.0 - p).log())).mean()
+
+
 class TestGoalLoss:
     def test_perfect_half_prediction(self):
-        # p = 0.5 everywhere, t = 0.5 everywhere -> BCE = ln 2
-        pred = Tensor(np.full((2, 12, 12), 0.5))
+        # logit 0 -> p = 0.5 everywhere, t = 0.5 everywhere -> BCE = ln 2
+        logits = Tensor(np.zeros((2, 12, 12)))
         target = np.full((2, 12, 12), 0.5)
-        assert float(goal_loss(pred, target).data) == pytest.approx(np.log(2.0), rel=1e-12)
+        assert float(goal_loss(logits, target).data) == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_confident_correct(self):
-        # p = 0.9 on t = 1 -> -ln 0.9
-        pred = Tensor(np.full((1, 12, 12), 0.9))
+        # logit ln 9 -> p = 0.9 on t = 1 -> -ln 0.9
+        logits = Tensor(np.full((1, 12, 12), np.log(9.0)))
         target = np.ones((1, 12, 12))
-        assert float(goal_loss(pred, target).data) == pytest.approx(-np.log(0.9), rel=1e-9)
+        assert float(goal_loss(logits, target).data) == pytest.approx(-np.log(0.9), rel=1e-9)
 
     def test_clip_keeps_loss_finite(self):
-        pred = Tensor(np.zeros((1, 12, 12)))
+        # sigmoid(-50) ~ 2e-22 is clipped to BCE_CLIP
+        logits = Tensor(np.full((1, 12, 12), -50.0))
         target = np.ones((1, 12, 12))
-        assert np.isfinite(goal_loss(pred, target).data)
+        assert np.isfinite(goal_loss(logits, target).data)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             goal_loss(Tensor(np.ones((1, 12, 12))), np.ones((2, 12, 12)))
+
+    def test_finite_difference_gradient(self, rng):
+        x0 = rng.uniform(-3.0, 3.0, size=(2, 3, 4, 4))
+        target = rng.uniform(0.0, 1.0, size=x0.shape)
+        p = Parameter(x0.copy())
+        goal_loss(p, target).backward()
+        num = finite_difference(lambda v: float(goal_loss(Tensor(v), target).data), x0)
+        assert rel_error(p.grad, num) < 1e-7
+
+    def test_gradient_is_zero_where_clipped(self, rng):
+        x0 = rng.uniform(-3.0, 3.0, size=(2, 6, 6))
+        x0[0, :2] = -40.0  # p below BCE_CLIP
+        x0[1, 3:] = 40.0  # p rounds to 1, above 1 - BCE_CLIP
+        target = rng.uniform(0.0, 1.0, size=x0.shape)
+        p = Parameter(x0)
+        goal_loss(p, target).backward()
+        clipped = np.abs(x0) == 40.0
+        assert np.all(p.grad[clipped] == 0.0)
+        assert np.all(p.grad[~clipped] != 0.0)
+
+    def test_matches_tensor_chain(self, rng):
+        # logits spanning the clip on both sides, against blurred 0/1 targets
+        x0 = rng.uniform(-20.0, 20.0, size=(4, 3, 8, 8))
+        target = rng.uniform(0.0, 1.0, size=x0.shape) * (rng.uniform(size=x0.shape) < 0.3)
+        p_op, p_chain = Parameter(x0), Parameter(x0)
+        op, chain = goal_loss(p_op, target), goal_loss_chain(p_chain.sigmoid(), target)
+        assert float(op.data) == pytest.approx(float(chain.data), rel=1e-15, abs=0.0)
+        (op * 20.0).backward()
+        (chain * 20.0).backward()
+        assert rel_error(p_op.grad, p_chain.grad) < 1e-12
 
 
 class TestDiffusionLoss:
@@ -164,6 +206,22 @@ class TestTrainer:
         assert trainer.train_epoch(windows) == ref
         for name, p in model.parameters().items():
             assert p.data.tobytes() == ref_model.parameters()[name].data.tobytes(), name
+
+    def test_epoch_holds_one_batch_graph_at_a_time(self):
+        # each batch's graph is dropped before the next batch builds its own, so
+        # an epoch of three batches peaks no higher than one batch, give or take
+        def peak(n):
+            trainer = tiny_setup()[3]
+            trainer.train_epoch(tiny_windows(4))  # warm: lazily built caches
+            tracemalloc.start()
+            try:
+                trainer.train_epoch(tiny_windows(n))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, three = peak(4), peak(12)
+        assert three < 1.3 * one, (one, three)
 
     def test_student_forcing_path_runs(self):
         model, sem, sched, trainer = tiny_setup(teacher_forcing=False, epochs=2)
