@@ -12,7 +12,10 @@ field's. `[schedule]`'s keys and defaults are `make_linear_schedule`'s
 parameters. `DEFAULTS` adds the keys that no config class owns.
 
 Exit codes: 0 success, 2 configuration error, 3 missing input file,
-4 unusable checkpoint or bad input file.
+4 unusable checkpoint or bad input file. Every file read goes through `_read`:
+a path that does not exist exits 3, and a file that cannot be opened, decoded
+or parsed exits 2 (the INI) or 4, on one line that names the file before the
+reader's reason. A run.out_dir that cannot be a directory is a config error.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (SyntheticSceneConfig, TrajectoryFileError, generate_synthetic,
-                   make_windows, parse_trajectory_file, write_trajectory_file)
+from .data import (SyntheticSceneConfig, generate_synthetic, make_windows,
+                   parse_trajectory_file, write_trajectory_file)
 from .evaluation import (bench_samplers, best_of_n, predict_windows, read_predictions_json,
                          write_bench_csv, write_predictions_json)
 from .goal import TTSTConfig, load_semantic_grid, save_semantic_grid
@@ -109,14 +112,27 @@ def _convert(section: str, key: str, raw: str):
         raise ConfigError(f"[{section}] {key}: {e}") from e
 
 
+def _read(path, reader, error: type[ValueError]):
+    """`reader(path)` for a file the CLI reads. A path that does not exist raises
+    FileNotFoundError; a failure to open, decode or parse the file raises
+    `error` with one line that names the path once, then the reader's reason."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(path)
+    try:
+        return reader(path)
+    # zipfile raises NotImplementedError when a corrupt entry names an unknown compression
+    except (OSError, ValueError, EOFError, NotImplementedError, zipfile.BadZipFile,
+            configparser.Error) as e:
+        reason = e.strerror if isinstance(e, OSError) and e.strerror else str(e)
+        raise error(f"{path}: {' '.join(reason.split())}") from e
+
+
 def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     cfg = {s: dict(kv) for s, kv in DEFAULTS.items()}
     if path is not None:
-        if not os.path.exists(path):
-            raise FileNotFoundError(path)
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)  # a "%" is literal
         parser.optionxform = str  # keep key case
-        parser.read(path)
+        _read(path, lambda p: parser.read_string(Path(p).read_text()), ConfigError)
         for section in parser.sections():
             if section not in cfg:
                 raise ConfigError(f"unknown config section [{section}]")
@@ -173,7 +189,7 @@ def _check_values(cfg: dict) -> None:
 
 
 def write_snapshot(cfg: dict, path) -> None:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     parser.read_dict(cfg)  # each value as str(value)
     with open(path, "w") as f:
@@ -198,15 +214,9 @@ def _build(cfg: dict, section: str, **extra):
 def _load_dataset(cfg: dict):
     dataset_dir = Path(cfg["data"]["dataset_dir"])
     tracks_path = dataset_dir / "tracks.txt"
-    grid_path = dataset_dir / "semantic.grid"
-    for p in (tracks_path, grid_path):
-        if not p.exists():
-            raise FileNotFoundError(str(p))
-    tracks = parse_trajectory_file(tracks_path, scene_id="synthetic")
-    try:
-        sem = load_semantic_grid(grid_path)
-    except ValueError as e:
-        raise InputFileError(str(e)) from e
+    tracks = _read(tracks_path, lambda p: parse_trajectory_file(p, scene_id="synthetic"),
+                   InputFileError)
+    sem = _read(dataset_dir / "semantic.grid", load_semantic_grid, InputFileError)
     windows = make_windows(tracks, cfg["model"]["t_h"], cfg["model"]["t_f"],
                            cfg["data"]["stride"])
     if windows:
@@ -214,8 +224,8 @@ def _load_dataset(cfg: dict):
         outside = np.flatnonzero(~sem.grid.contains(points).all(axis=1))
         if outside.size:
             w = windows[outside[0]]
-            raise TrajectoryFileError(f"{tracks_path}: agent {w.agent_id}, window from frame "
-                                      f"{w.frame_base}: position outside the semantic grid")
+            raise InputFileError(f"{tracks_path}: agent {w.agent_id}, window from frame "
+                                 f"{w.frame_base}: position outside the semantic grid")
     return windows, sem
 
 
@@ -264,13 +274,7 @@ def _prediction_setup(cfg: dict, out: Path):
     windows, sem = _load_dataset(cfg)
     _, val = _split(windows, cfg)
     path = cfg["eval"]["checkpoint"] or str(out / "checkpoint.npz")
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    # zipfile raises NotImplementedError when a corrupt entry names an unknown compression
-    try:
-        model = PredictionModel.load(path)
-    except (OSError, EOFError, ValueError, NotImplementedError, zipfile.BadZipFile) as e:
-        raise CheckpointError(f"{path}: {e}") from e
+    model = _read(path, PredictionModel.load, CheckpointError)
     grid_path = Path(cfg["data"]["dataset_dir"]) / "semantic.grid"
     fits = (("grid", model.grid, sem.grid, grid_path),
             ("goal-net input channels", model.goal_net.in_channels,
@@ -296,12 +300,7 @@ def cmd_predict(cfg: dict, out: Path) -> None:
 
 def cmd_eval(cfg: dict, out: Path) -> None:
     path = cfg["eval"]["predictions"] or str(out / "predictions.json")
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    try:
-        records = read_predictions_json(path)
-    except ValueError as e:
-        raise InputFileError(f"{path}: {e}") from e
+    records = _read(path, read_predictions_json, InputFileError)
     if not records:
         raise InputFileError(f"{path}: no prediction records")
     with open(out / "displacement.csv", "w") as f:
@@ -351,7 +350,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.overrides)
         out = Path(cfg["run"]["out_dir"])
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as e:  # a file at the path or above it
+            raise ConfigError(f"run.out_dir {out}: {e.strerror}") from e
         COMMANDS[args.command](cfg, out)
         write_snapshot(cfg, out / "resolved.ini")  # to reproduce the run
         return 0
@@ -364,7 +366,7 @@ def main(argv=None) -> int:
     except CheckpointError as e:
         print(f"bad checkpoint: {e}", file=sys.stderr)
         return EXIT_CHECKPOINT
-    except (InputFileError, TrajectoryFileError) as e:
+    except InputFileError as e:
         print(f"bad input file: {e}", file=sys.stderr)
         return EXIT_CHECKPOINT
 

@@ -36,12 +36,9 @@ class TrajectoryWindow:
     frame_base: int
 
 
-class TrajectoryFileError(ValueError):
-    pass
-
-
 def parse_trajectory_file(path, scene_id: str | None = None) -> list[Track]:
-    """Parse `frame agent x y` lines into per-agent tracks sorted by frame."""
+    """Parse `frame agent x y` lines into per-agent tracks sorted by frame. A bad
+    line is a ValueError naming its line number."""
     scene = scene_id if scene_id is not None else str(path)
     rows: dict[int, list[tuple[int, float, float]]] = {}
     seen: set[tuple[int, int]] = set()
@@ -52,17 +49,17 @@ def parse_trajectory_file(path, scene_id: str | None = None) -> list[Track]:
                 continue
             parts = line.split()
             if len(parts) != 4:
-                raise TrajectoryFileError(f"{path}:{lineno}: expected 4 fields, got {len(parts)}")
+                raise ValueError(f"line {lineno}: expected 4 fields, got {len(parts)}")
             try:
                 frame = int(float(parts[0]))
                 agent = int(float(parts[1]))
                 x, y = float(parts[2]), float(parts[3])
             except (ValueError, OverflowError) as e:  # int(float("inf")) overflows
-                raise TrajectoryFileError(f"{path}:{lineno}: unparseable numeric field: {e}") from e
+                raise ValueError(f"line {lineno}: unparseable numeric field: {e}") from e
             if not (math.isfinite(x) and math.isfinite(y)):
-                raise TrajectoryFileError(f"{path}:{lineno}: non-finite position {x} {y}")
+                raise ValueError(f"line {lineno}: non-finite position {x} {y}")
             if (frame, agent) in seen:
-                raise TrajectoryFileError(f"{path}:{lineno}: duplicate (frame={frame}, agent={agent})")
+                raise ValueError(f"line {lineno}: duplicate (frame={frame}, agent={agent})")
             seen.add((frame, agent))
             rows.setdefault(agent, []).append((frame, x, y))
     if not rows:

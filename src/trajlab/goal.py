@@ -256,7 +256,7 @@ def load_semantic_grid(path) -> SemanticGrid:
         header = f.readline().decode(errors="replace").split()
         raw = f.read()
     if header[:2] != [_GRID_MAGIC.decode(), str(_GRID_VERSION)] or len(header) != 8:
-        raise ValueError(f"{path}: not a recognized semantic grid file")
+        raise ValueError("not a recognized semantic grid file")
     try:
         h, w, c = int(header[2]), int(header[3]), int(header[4])
         grid = GridSpec(h, w, (float(header[5]), float(header[6])), float(header[7]))
@@ -267,4 +267,4 @@ def load_semantic_grid(path) -> SemanticGrid:
             raise ValueError("non-finite channel value")
         return SemanticGrid(grid, payload.reshape(c, h, w).astype(np.float64))
     except ValueError as e:
-        raise ValueError(f"{path}: bad semantic grid: {e}") from e
+        raise ValueError(f"bad semantic grid: {e}") from e

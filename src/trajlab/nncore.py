@@ -104,6 +104,9 @@ class Tensor:
             for p, _ in node._edges:
                 if id(p) not in seen:
                     stack.append((p, False))
+        for node in topo:  # drop what an earlier backward through these nodes left
+            if not isinstance(node, Parameter):
+                node.grad = None
         _accumulate(self, np.asarray(seed, dtype=np.float64))
         for node in reversed(topo):
             for parent, grad_fn in node._edges:
@@ -138,10 +141,6 @@ class Tensor:
 
     def __pow__(self, p: float):
         return Tensor(self.data ** p, ((self, lambda g: g * p * self.data ** (p - 1)),))
-
-    def __truediv__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self * other ** -1.0
 
     def __matmul__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -443,8 +442,9 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    # np.load leaves a path it opened itself open when the file is not a zip
-    with open(path, "rb") as fh, np.load(fh) as f:
+    # not np.load: it returns a bare array for an .npy file and, given a path,
+    # leaves the file open when it is not a zip
+    with np.lib.npyio.NpzFile(path) as f:
         if "__format_version__" not in f.files:
             raise ValueError("no __format_version__ entry")
         version = int(f["__format_version__"])

@@ -24,7 +24,7 @@ from .schedule import NoiseSchedule
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    K: int = 100
+    K: int  # no default: K is the schedule's, stated once in make_linear_schedule
     K_I: int = 20
     K_t: int = 20
     eta: float = 1.0

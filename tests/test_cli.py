@@ -1,8 +1,11 @@
 import configparser
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trajlab.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_MISSING,
                          ConfigError, load_config, main, write_snapshot)
@@ -135,7 +138,8 @@ class TestConfig:
         assert load_config(None)["run"]["seed"] == 777
 
     def test_snapshot_round_trips(self, tmp_path):
-        cfg = load_config(None, ["schedule.K=42", "train.lr=0.005"])
+        # a "%" is a literal character, not interpolation syntax
+        cfg = load_config(None, ["schedule.K=42", "train.lr=0.005", "run.out_dir=runs/50%(x)s"])
         path = tmp_path / "resolved.ini"
         write_snapshot(cfg, path)
         assert load_config(str(path)) == cfg
@@ -238,6 +242,28 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip()
         assert "TRAJLAB_SEED" in err and "run.seed" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("content", [b"[run]\nseed = 1\nseed = 2\n", b"seed = 1\n",
+                                         b"[run\nseed = 1\n", None],
+                             ids=["duplicate-key", "no-section-header", "unclosed-section",
+                                  "directory"])
+    def test_unreadable_config_is_2(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.ini"
+        path.mkdir() if content is None else path.write_bytes(content)
+        assert main(["train", "--config", str(path),
+                     "--set", f"run.out_dir={tmp_path / 'run'}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith(f"config error: {path}: ")
+        assert err.count(str(path)) == 1
+
+    @pytest.mark.parametrize("below", ["", "run"], ids=["file", "under-a-file"])
+    def test_out_dir_that_is_a_file_is_2(self, tmp_path, capsys, below):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / below
+        assert main(["eval", "--set", f"run.out_dir={out}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1 and err.startswith(f"config error: run.out_dir {out}: ")
+
     def test_missing_config_file_is_3(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "nope.ini")]) == EXIT_MISSING
 
@@ -303,7 +329,7 @@ class TestBadInputFiles:
             f.write("300 1 4.0\n")
         assert run(tmp_path / "run", "train", "--set", f"data.dataset_dir={data_dir}") \
             == EXIT_CHECKPOINT
-        assert "tracks.txt:21:" in self.one_line_error(capsys)
+        assert "tracks.txt: line 21: expected 4 fields" in self.one_line_error(capsys)
 
     @pytest.mark.parametrize("position", ["nan 2", "1 inf"])
     def test_non_finite_track_position_names_the_line(self, tmp_path, capsys, position):
@@ -315,7 +341,7 @@ class TestBadInputFiles:
             assert run(tmp_path / "run", command, "--set", f"data.dataset_dir={data_dir}") \
                 == EXIT_CHECKPOINT
             err = self.one_line_error(capsys)
-            assert "tracks.txt:21: non-finite position" in err and "semantic grid" not in err
+            assert "tracks.txt: line 21: non-finite position" in err and "semantic grid" not in err
 
     def test_non_finite_grid_value_is_one_line(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -357,7 +383,8 @@ class TestBadInputFiles:
         assert err.startswith("bad input file:") and "tracks.txt" in err
 
     @pytest.mark.parametrize("damage", ["truncated", "unversioned", "nan-weight", "tiny-sigma",
-                                        "odd-embed-dim", "zero-hidden", "fractional-embed-dim"])
+                                        "odd-embed-dim", "zero-hidden", "fractional-embed-dim",
+                                        "npy-file"])
     def test_unusable_checkpoint_names_it(self, pipeline, tmp_path, capsys, damage):
         _, data_dir, run_dir = pipeline
         ckpt = tmp_path / "checkpoint.npz"
@@ -370,6 +397,9 @@ class TestBadInputFiles:
         elif damage == "nan-weight":
             arrays["denoiser.outp.b"][3] = np.nan
             np.savez(ckpt, **arrays)
+        elif damage == "npy-file":  # one bare array, not an archive
+            with open(ckpt, "wb") as f:
+                np.save(f, arrays["denoiser.outp.b"])
         else:  # every Gaussian of a 0.01 px sigma underflows, or a size is unusable
             key, value = {"tiny-sigma": ("sigma_px", 0.01), "odd-embed-dim": ("embed_dim", 5.0),
                           "zero-hidden": ("encoder_hidden", 0.0),
@@ -382,7 +412,7 @@ class TestBadInputFiles:
                 == EXIT_CHECKPOINT
             err = capsys.readouterr().err.strip()
             assert len(err.splitlines()) == 1 and err.startswith(f"bad checkpoint: {ckpt}: ")
-            assert damage in ("truncated", "unversioned", "nan-weight") or key in err
+            assert damage in ("truncated", "unversioned", "nan-weight", "npy-file") or key in err
 
     @pytest.mark.parametrize("grid", [
         SemanticGrid(GridSpec(16, 16, (0.5, 0.5), 1.0), np.ones((1, 16, 16))),
@@ -403,6 +433,27 @@ class TestBadInputFiles:
             assert len(err.splitlines()) == 1 and err.startswith("bad checkpoint:")
             assert "semantic.grid" in err
             assert not any(out.glob("*.json")) and not any(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("name, damage", [("tracks.txt", "not-utf-8"),
+                                              ("tracks.txt", "directory"),
+                                              ("semantic.grid", "directory"),
+                                              ("predictions.json", "directory")])
+    def test_unreadable_input_file_is_4(self, tmp_path, capsys, name, damage):
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, {1: (0, (2.0, 8.0), (0.3, 0.0))})
+        path = data_dir / name
+        if damage == "directory":
+            path.unlink(missing_ok=True)
+            path.mkdir()
+        else:
+            path.write_bytes(b"0 1 2.0 8.0\n10 1 2.3 8.0\xff\n")
+        commands = ("eval",) if name == "predictions.json" else ("train", "predict")
+        for command in commands:
+            assert run(tmp_path / "run", command, "--set", f"data.dataset_dir={data_dir}",
+                       "--set", f"eval.predictions={data_dir / 'predictions.json'}") \
+                == EXIT_CHECKPOINT
+            err = self.one_line_error(capsys)
+            assert err.startswith(f"bad input file: {path}: ") and err.count(str(path)) == 1
 
     def test_eval_without_records_is_4(self, tmp_path, capsys):
         path = tmp_path / "predictions.json"
@@ -434,6 +485,53 @@ class TestBadInputFiles:
         assert err.startswith("bad input file:") and "predictions.json" in err
         assert fragment in err and "nan" not in err.lower()
         assert not (tmp_path / "run" / "displacement.csv").exists()
+
+
+def _npz_bytes(**arrays) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+# a well-formed file of each input; a fuzzed file is random bytes, or a random
+# prefix of this one followed by random bytes, so that parsing gets past the header
+WELL_FORMED = {
+    "config.ini": DEFAULT_SNAPSHOT.encode(),
+    "tracks.txt": "".join(f"{10 * i} 1 {2 + 0.3 * i:.3f} 8.000\n" for i in range(20)).encode(),
+    "semantic.grid": b"TRAJGRID 1 16 16 1 0.5 0.5 1\n" + ONES,
+    "checkpoint.npz": _npz_bytes(__format_version__=np.array(1), **{"cfg.t_h": np.array(8.0)}),
+    "predictions.json": b'[{"scene": "s", "agent": 0, "frame_base": 0, '
+                        b'"predictions": [[[0, 0]]], "gt": [[1, 0]]}]',
+}
+
+
+@pytest.mark.parametrize("name", sorted(WELL_FORMED))
+@pytest.mark.filterwarnings("ignore:.*no observations parsed:UserWarning")
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_input_file_exits_with_a_documented_code(tmp_path, capsys, name, data):
+    well_formed = WELL_FORMED[name]
+    content = data.draw(st.binary(max_size=300) | st.builds(
+        lambda n, tail: well_formed[:n] + tail, st.integers(0, len(well_formed)),
+        st.binary(max_size=40)))
+    data_dir = tmp_path / "data"
+    if not data_dir.exists():
+        write_dataset(data_dir, {1: (0, (2.0, 8.0), (0.3, 0.0))})
+    path = (data_dir if name in ("tracks.txt", "semantic.grid") else tmp_path) / name
+    path.write_bytes(content)
+    command = {"config.ini": "eval", "tracks.txt": "train", "semantic.grid": "train",
+               "checkpoint.npz": "predict", "predictions.json": "eval"}[name]
+    predictions = path if name == "predictions.json" else tmp_path / "none.json"
+    argv = [command] + SMALL + ["--set", f"run.out_dir={tmp_path / 'run'}",
+                                "--set", f"data.dataset_dir={data_dir}",
+                                "--set", f"eval.checkpoint={tmp_path / 'checkpoint.npz'}",
+                                "--set", f"eval.predictions={predictions}"]
+    # --set wins over the file, so a config that parses ends at the missing predictions
+    code = main(argv + ["--config", str(path)] if name == "config.ini" else argv)
+    err = capsys.readouterr().err
+    assert code in (0, EXIT_CONFIG, EXIT_MISSING, EXIT_CHECKPOINT)
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

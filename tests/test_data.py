@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trajlab.data import (SyntheticSceneConfig, Track, TrajectoryFileError,
+from trajlab.data import (SyntheticSceneConfig, Track,
                           generate_synthetic, leave_one_scene_out,
                           make_semantic_grid, make_windows,
                           parse_trajectory_file, tail_windows,
@@ -40,19 +40,19 @@ class TestParsing:
     def test_duplicate_observation_reports_line(self, tmp_path):
         path = tmp_path / "scene.txt"
         path.write_text("10 1 1.0 2.0\n10 1 3.0 4.0\n")
-        with pytest.raises(TrajectoryFileError, match=":2:"):
+        with pytest.raises(ValueError, match="^line 2: duplicate"):
             parse_trajectory_file(path)
 
     def test_wrong_field_count_reports_line(self, tmp_path):
         path = tmp_path / "scene.txt"
         path.write_text("10 1 1.0\n")
-        with pytest.raises(TrajectoryFileError, match=":1:"):
+        with pytest.raises(ValueError, match="^line 1: expected 4 fields"):
             parse_trajectory_file(path)
 
     def test_non_numeric_field_rejected(self, tmp_path):
         path = tmp_path / "scene.txt"
         path.write_text("10 1 abc 2.0\n")
-        with pytest.raises(TrajectoryFileError):
+        with pytest.raises(ValueError, match="^line 1: unparseable"):
             parse_trajectory_file(path)
 
     def test_empty_file_warns(self, tmp_path):

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trajlab.cli import InputFileError, _read
 from trajlab.goal import (GoalNet, GridSpec, SemanticGrid, TTSTConfig, _kmeans,
                           argmax_goals, load_semantic_grid, predict_heatmaps, rasterize_points,
                           save_semantic_grid, select_goals)
@@ -363,10 +366,12 @@ class TestGridFile:
                                          b"TRAJGRID 1 4 x 1 0 0 1\n",
                                          b"TRAJGRID 1 4 4 1 0 0 0\n"])
     def test_empty_or_short_header_names_the_file(self, tmp_path, content):
+        # the reader names no path; the CLI's one reading function names it once
         path = tmp_path / "short.grid"
         path.write_bytes(content)
-        with pytest.raises(ValueError, match="short.grid"):
-            load_semantic_grid(path)
+        named = f"^{re.escape(str(path))}: (not a recognized|bad) semantic grid"
+        with pytest.raises(InputFileError, match=named):
+            _read(path, load_semantic_grid, InputFileError)
 
     def test_truncated_payload_rejected(self, tmp_path):
         grid = GridSpec(4, 4, (0.0, 0.0), 1.0)

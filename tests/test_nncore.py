@@ -439,6 +439,21 @@ def test_backward_accumulates_through_shared_node(rng):
     assert p.grad[0] == pytest.approx(2 * 2.0 + 1.0)
 
 
+def test_repeated_backward_adds_each_gradient_once():
+    # a second backward through nodes that an earlier one reached must not
+    # propagate that earlier backward's gradients again
+    p = Parameter(np.array([2.0]))
+    h = p * 3.0
+    (h * h).sum().backward()  # d(9 p^2)/dp = 36
+    h.sum().backward()  # + 3
+    assert p.grad[0] == 39.0
+    q = Parameter(np.array([2.0]))
+    loss = (q * q).sum()
+    loss.backward()
+    loss.backward()
+    assert q.grad[0] == 8.0
+
+
 def test_gradients_only_for_inputs_that_need_them(rng, monkeypatch):
     # conv2d's input gradient alone merges phases with `_phase_merge`; a data
     # input must not pay for it, and a data leaf gets no gradient at all
