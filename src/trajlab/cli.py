@@ -48,7 +48,7 @@ EXIT_CHECKPOINT = 4
 # section: (config class, {field the section leaves out: the "section.key" that
 # sets it, or None if no INI key does}); every other field is a key of the section
 CONFIG_SECTIONS = {
-    "sampler": (SamplerConfig, {"K": "schedule.K", "t_f": "model.t_f"}),
+    "sampler": (SamplerConfig, {"K": "schedule.K"}),
     "model": (ModelConfig, {"sem_channels": None, "init_seed": "run.seed"}),
     "train": (TrainConfig, {"seed": "run.seed"}),
     "synthetic": (SyntheticSceneConfig, dict.fromkeys(
@@ -120,9 +120,10 @@ def _read(path, reader, error: type[ValueError]):
         raise FileNotFoundError(path)
     try:
         return reader(path)
-    # zipfile raises NotImplementedError when a corrupt entry names an unknown compression
-    except (OSError, ValueError, EOFError, NotImplementedError, zipfile.BadZipFile,
-            configparser.Error) as e:
+    # zipfile raises NotImplementedError when a corrupt entry names an unknown compression,
+    # and json RecursionError when arrays nest too deep
+    except (OSError, ValueError, EOFError, NotImplementedError, RecursionError,
+            zipfile.BadZipFile, configparser.Error) as e:
         reason = e.strerror if isinstance(e, OSError) and e.strerror else str(e)
         raise error(f"{path}: {' '.join(reason.split())}") from e
 
@@ -273,6 +274,9 @@ def _prediction_setup(cfg: dict, out: Path):
     window runs."""
     windows, sem = _load_dataset(cfg)
     _, val = _split(windows, cfg)
+    if not val:
+        raise InputFileError(f"{Path(cfg['data']['dataset_dir']) / 'tracks.txt'}: no validation "
+                             f"window: {len(windows)} windows in all")
     path = cfg["eval"]["checkpoint"] or str(out / "checkpoint.npz")
     model = _read(path, PredictionModel.load, CheckpointError)
     grid_path = Path(cfg["data"]["dataset_dir"]) / "semantic.grid"

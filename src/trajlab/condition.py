@@ -45,7 +45,6 @@ class SequenceEncoder:
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.hidden = hidden
-        self.d_f = d_f
         self.cell = LSTMCell(8, hidden, rng)
         self.proj = Dense(hidden, d_f, rng)
 

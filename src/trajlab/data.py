@@ -10,7 +10,6 @@ multi-modal ground truth.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -62,8 +61,6 @@ def parse_trajectory_file(path, scene_id: str | None = None) -> list[Track]:
                 raise ValueError(f"line {lineno}: duplicate (frame={frame}, agent={agent})")
             seen.add((frame, agent))
             rows.setdefault(agent, []).append((frame, x, y))
-    if not rows:
-        warnings.warn(f"{path}: no observations parsed")
     tracks = []
     for agent in sorted(rows):
         obs = sorted(rows[agent])
@@ -80,27 +77,23 @@ def write_trajectory_file(path, tracks: list[Track]) -> None:
                 f.write(f"{frame} {t.agent_id} {x:.6f} {y:.6f}\n")
 
 
-def _contiguous_segments(track: Track) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a track at frame gaps into (frames, xy) pieces; the dataset rate
-    is the modal frame step."""
-    if len(track.frames) < 2:
-        return [(track.frames, track.xy)] if len(track.frames) else []
-    diffs = np.diff(track.frames)
-    step = Counter(diffs.tolist()).most_common(1)[0][0]
-    cuts = np.where(diffs != step)[0] + 1
-    return list(zip(np.split(track.frames, cuts), np.split(track.xy, cuts)))
-
-
-def make_windows(tracks: list[Track], t_h: int = 8, t_f: int = 12,
-                 stride: int = 1) -> list[TrajectoryWindow]:
-    """Slide a (t_h + t_f) window over every contiguous track segment.
-    `frame_base` is the frame id of the window's first history frame."""
+def _track_windows(tracks: list[Track], t_h: int, t_f: int,
+                   stride: int) -> list[list[TrajectoryWindow]]:
+    """Each track's windows in frame order. A track splits at every frame step
+    that differs from its scene's rate, the modal step over all the scene's
+    tracks, and a (t_h + t_f) window slides over each piece."""
     if min(t_h, t_f, stride) < 1:
         raise ValueError("t_h, t_f and stride must all be >= 1")
-    span = t_h + t_f
-    windows = []
+    steps: dict[str, Counter] = {}
     for track in tracks:
-        for frames, seg in _contiguous_segments(track):
+        steps.setdefault(track.scene_id, Counter()).update(np.diff(track.frames).tolist())
+    rate = {scene: c.most_common(1)[0][0] for scene, c in steps.items() if c}
+    span = t_h + t_f
+    out = []
+    for track in tracks:
+        cuts = np.flatnonzero(np.diff(track.frames) != rate.get(track.scene_id)) + 1
+        windows = []
+        for frames, seg in zip(np.split(track.frames, cuts), np.split(track.xy, cuts)):
             for start in range(0, len(seg) - span + 1, stride):
                 windows.append(TrajectoryWindow(
                     scene_id=track.scene_id,
@@ -109,18 +102,21 @@ def make_windows(tracks: list[Track], t_h: int = 8, t_f: int = 12,
                     future=seg[start + t_h:start + span].copy(),
                     frame_base=int(frames[start]),
                 ))
-    return windows
+        out.append(windows)
+    return out
+
+
+def make_windows(tracks: list[Track], t_h: int = 8, t_f: int = 12,
+                 stride: int = 1) -> list[TrajectoryWindow]:
+    """Slide a (t_h + t_f) window over every contiguous track segment.
+    `frame_base` is the frame id of the window's first history frame."""
+    return [w for windows in _track_windows(tracks, t_h, t_f, stride) for w in windows]
 
 
 def tail_windows(tracks: list[Track], t_h: int = 8, t_f: int = 12) -> list[TrajectoryWindow]:
     """The last window of each long-enough track (future ends where the track
     does). For goal-directed tracks this makes the future endpoint the goal."""
-    out = []
-    for track in tracks:
-        windows = make_windows([track], t_h, t_f, stride=1)  # in frame order
-        if windows:
-            out.append(windows[-1])
-    return out
+    return [windows[-1] for windows in _track_windows(tracks, t_h, t_f, 1) if windows]
 
 
 def leave_one_scene_out(windows: list[TrajectoryWindow], test_scene: str):
@@ -130,8 +126,6 @@ def leave_one_scene_out(windows: list[TrajectoryWindow], test_scene: str):
         raise ValueError(f"unknown scene {test_scene!r}; have {sorted(scenes)}")
     test = [w for w in windows if w.scene_id == test_scene]
     train = [w for w in windows if w.scene_id != test_scene]
-    if not test:
-        warnings.warn(f"test scene {test_scene!r} has no windows")
     return train, test
 
 

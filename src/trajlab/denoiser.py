@@ -20,9 +20,6 @@ class NoisePredictor:
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.t_f = t_f
-        self.d_f = d_f
-        self.width = width
-        self.blocks = blocks
         self.embed = StepEmbedding(embed_dim)
         self.inp = Dense(t_f * 2 + embed_dim + d_f, width, rng)
         self.res = [(Dense(width, width, rng), Dense(width, width, rng))

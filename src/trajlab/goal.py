@@ -104,7 +104,6 @@ class GoalNet:
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.in_channels = in_channels
-        self.t_f = t_f
 
         def conv_params(cin, cout):
             w = Parameter(uniform_init(rng, (cout, cin, 3, 3), cin * 9))

@@ -154,9 +154,11 @@ class PredictionModel:
             f_common, f_diverse = self.condition_features(history, goals)
         denoise = self.denoiser.predict_noise
         if rule == "ts":
-            trajs = tree_sample(denoise, f_common, f_diverse, sampler_cfg, schedule, rng)
+            trajs = tree_sample(denoise, f_common, f_diverse, sampler_cfg, schedule, rng,
+                                self.cfg.t_f)
         else:
-            trajs = sample_standard(denoise, f_diverse, sampler_cfg, schedule, rng, rule)
+            trajs = sample_standard(denoise, f_diverse, sampler_cfg, schedule, rng, rule,
+                                    self.cfg.t_f)
         return np.stack(trajs) + history[-1]
 
 

@@ -372,7 +372,6 @@ class StepEmbedding:
     def __init__(self, dim: int):
         if dim % 2 != 0:
             raise ValueError("step embedding dim must be even")
-        self.dim = dim
         half = dim // 2
         self.freqs = np.exp(-np.log(10000.0) * np.arange(half) / half)
         self._steps: dict[int, np.ndarray] = {}

@@ -8,9 +8,9 @@ coefficients are computed once, then one loop applies them: the tree sampler
 runs a d-DDPM trunk under the common feature, then N DDIM branches that share
 one coefficient list. Finiteness is checked once per chain output.
 
-Trajectories are plain (t_f, 2) float64 arrays. Denoisers are passed in as
-callables `denoiser(k, y, f) -> eps`, where `f` is whatever conditioning
-object the caller uses (the sampler never inspects it).
+Trajectories are plain (t_f, 2) float64 arrays, t_f being the model's. Denoisers
+are passed in as callables `denoiser(k, y, f) -> eps`, where `f` is whatever
+conditioning object the caller uses (the sampler never inspects it).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class SamplerConfig:
     K_t: int = 20
     eta: float = 1.0
     N: int = 20
-    t_f: int = 12
 
     def __post_init__(self):
         if not 0 <= self.K_t <= self.K:
@@ -174,7 +173,7 @@ def _check_run(cfg: SamplerConfig, s: NoiseSchedule, n_features: int) -> None:
 
 
 def tree_sample(denoiser, f_common, f_diverse: list, cfg: SamplerConfig,
-                s: NoiseSchedule, rng: NoiseStream) -> list[np.ndarray]:
+                s: NoiseSchedule, rng: NoiseStream, t_f: int) -> list[np.ndarray]:
     """Trunk/branch sampling: one shared deterministic trunk conditioned on the
     common feature, then one DDIM branch per diverse feature.
 
@@ -182,7 +181,7 @@ def tree_sample(denoiser, f_common, f_diverse: list, cfg: SamplerConfig,
     """
     _check_run(cfg, s, len(f_diverse))
     trunk = _chain_rows(s, _unit_pairs(cfg.K, cfg.K_t), 1.0, stochastic=False)
-    y = _reverse_chain(rng.normal((cfg.t_f, 2)), trunk, denoiser, f_common, None, "trunk")
+    y = _reverse_chain(rng.normal((t_f, 2)), trunk, denoiser, f_common, None, "trunk")
     pairs = ddim_subsequence(cfg.K, cfg.K_t, branch_step_count(cfg.K, cfg.K_I, cfg.K_t))
     branch = _chain_rows(s, pairs, cfg.eta, stochastic=True)
     return [_reverse_chain(y, branch, denoiser, f_n, rng.fork(n), f"branch {n}")
@@ -190,7 +189,7 @@ def tree_sample(denoiser, f_common, f_diverse: list, cfg: SamplerConfig,
 
 
 def sample_standard(denoiser, f: list, cfg: SamplerConfig, s: NoiseSchedule,
-                    rng: NoiseStream, rule: str) -> list[np.ndarray]:
+                    rng: NoiseStream, rule: str, t_f: int) -> list[np.ndarray]:
     """N independent full reverse chains under one of the baseline rules.
 
     All chains share the initial Gaussian draw (drawn once from the parent
@@ -200,7 +199,7 @@ def sample_standard(denoiser, f: list, cfg: SamplerConfig, s: NoiseSchedule,
     if rule not in ("ddpm", "d_ddpm", "ddim"):
         raise ValueError(f"unknown sampling rule {rule!r}")
     _check_run(cfg, s, len(f))
-    y_init = rng.normal((cfg.t_f, 2))
+    y_init = rng.normal((t_f, 2))
     if rule == "ddim":
         rows = _chain_rows(s, ddim_subsequence(cfg.K, 0, cfg.K_I), cfg.eta, stochastic=True)
     else:

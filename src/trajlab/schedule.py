@@ -1,4 +1,4 @@
-"""Diffusion noise schedule: beta / alpha / alpha-bar tables.
+"""Diffusion noise schedule: the beta and alpha-bar tables.
 
 Step indices are 1-based (k = 1..K); alpha_bar(0) is defined as 1 so the
 final denoising step is well formed. Tables are computed once in double
@@ -15,7 +15,6 @@ import numpy as np
 @dataclass(frozen=True)
 class NoiseSchedule:
     betas: np.ndarray
-    alphas: np.ndarray = field(init=False, repr=False)
     alpha_bars: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -25,10 +24,8 @@ class NoiseSchedule:
         if np.any(betas <= 0.0) or np.any(betas >= 1.0):
             raise ValueError("betas must lie in (0, 1)")
         object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "alphas", 1.0 - betas)
         object.__setattr__(self, "alpha_bars", np.cumprod(1.0 - betas))
         self.betas.setflags(write=False)
-        self.alphas.setflags(write=False)
         self.alpha_bars.setflags(write=False)
 
     @property
@@ -38,14 +35,6 @@ class NoiseSchedule:
     def _check(self, k: int, lo: int = 1):
         if not lo <= k <= self.K:
             raise ValueError(f"step index {k} outside [{lo}, {self.K}]")
-
-    def beta(self, k: int) -> float:
-        self._check(k)
-        return float(self.betas[k - 1])
-
-    def alpha(self, k: int) -> float:
-        self._check(k)
-        return float(self.alphas[k - 1])
 
     def alpha_bar(self, k: int) -> float:
         self._check(k, lo=0)
@@ -68,4 +57,4 @@ def posterior_variance(s: NoiseSchedule, k: int) -> float:
     s._check(k)
     abar_prev = s.alpha_bar(k - 1)
     abar = s.alpha_bar(k)
-    return (1.0 - abar_prev) / (1.0 - abar) * s.beta(k)
+    return (1.0 - abar_prev) / (1.0 - abar) * s.betas[k - 1]

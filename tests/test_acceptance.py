@@ -69,7 +69,7 @@ def test_criterion_02_trunkless_tree_is_plain_ddim():
         eta = float(rng.uniform(0.0, 1.0))
         t_f = int(rng.integers(2, 8))
         s = NoiseSchedule(rng.uniform(1e-4, 0.2, size=K))
-        cfg = SamplerConfig(K=K, K_I=K_I, K_t=0, eta=eta, N=N, t_f=t_f)
+        cfg = SamplerConfig(K=K, K_I=K_I, K_t=0, eta=eta, N=N)
         w = rng.standard_normal()
 
         def stub(k, y, f, w=w):
@@ -77,8 +77,8 @@ def test_criterion_02_trunkless_tree_is_plain_ddim():
 
         fs = [float(i) for i in range(N)]
         seed = int(rng.integers(1 << 30))
-        a = tree_sample(stub, 0.0, fs, cfg, s, NoiseStream(seed))
-        b = sample_standard(stub, fs, cfg, s, NoiseStream(seed), rule="ddim")
+        a = tree_sample(stub, 0.0, fs, cfg, s, NoiseStream(seed), t_f)
+        b = sample_standard(stub, fs, cfg, s, NoiseStream(seed), rule="ddim", t_f=t_f)
         ok &= all(np.array_equal(x, y) for x, y in zip(a, b))
     elapsed = time.perf_counter() - start
     report(2, ok and elapsed < 5.0,
@@ -116,19 +116,19 @@ def test_criterion_03_denoiser_eval_cost_arithmetic():
 
 def test_criterion_04_deterministic_chains_are_bit_reproducible():
     s = make_linear_schedule(60)
-    cfg = SamplerConfig(K=60, K_I=12, K_t=15, N=3, t_f=6)
+    cfg, t_f = SamplerConfig(K=60, K_I=12, K_t=15, N=3), 6
 
     def stub(k, y, f):
         return 0.3 * np.tanh(y) + 0.01 * k + 0.1 * (f if np.isscalar(f) else 0.0)
 
     runs = []
     for _ in range(10):
-        out = tree_sample(stub, 0.5, [1.0, 2.0, 3.0], cfg, s, NoiseStream(404))
+        out = tree_sample(stub, 0.5, [1.0, 2.0, 3.0], cfg, s, NoiseStream(404), t_f)
         runs.append(np.stack(out))
     repro = all(np.array_equal(runs[0], r) for r in runs[1:])
 
     chains = [np.stack(sample_standard(stub, [1.0, 2.0, 3.0], cfg, s,
-                                       NoiseStream(405), "d_ddpm"))
+                                       NoiseStream(405), "d_ddpm", t_f))
               for _ in range(10)]
     repro &= all(np.array_equal(chains[0], c) for c in chains[1:])
 
@@ -140,8 +140,8 @@ def test_criterion_04_deterministic_chains_are_bit_reproducible():
     zero_z = True
     for seed in range(406, 416):
         fs = [1.0, 2.0, 3.0]
-        a = sample_standard(stub, fs, cfg, s, ZeroForks(seed), "ddpm")
-        b = sample_standard(stub, fs, cfg, s, NoiseStream(seed), "d_ddpm")
+        a = sample_standard(stub, fs, cfg, s, ZeroForks(seed), "ddpm", t_f)
+        b = sample_standard(stub, fs, cfg, s, NoiseStream(seed), "d_ddpm", t_f)
         zero_z &= all(np.array_equal(x, y) for x, y in zip(a, b))
     report(4, repro and zero_z,
            "10x bit-identical deterministic chains/trunks; DDPM(z=0) == d-DDPM")

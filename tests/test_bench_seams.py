@@ -26,7 +26,7 @@ GRID = GridSpec(12, 12, (0.5, 0.5), 1.0)
 MCFG = ModelConfig(t_h=4, t_f=workloads.MODEL_CFG.t_f, d_f=8, encoder_hidden=8,
                    denoiser_width=8, denoiser_blocks=1, embed_dim=4,
                    goal_base_channels=4, sem_channels=1, sigma_px=1.0, init_seed=3)
-SCFG = SamplerConfig(K=10, K_I=5, K_t=2, N=3, t_f=MCFG.t_f)
+SCFG = SamplerConfig(K=10, K_I=5, K_t=2, N=3)
 SCHED = default_schedule(10)
 SEM = SemanticGrid(GRID, np.ones((1, 12, 12)))
 HISTORY = np.stack([np.linspace(2, 5, 4), np.full(4, 6.0)], axis=1)

@@ -1,12 +1,17 @@
 import configparser
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import trajlab
 from trajlab.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_MISSING,
                          ConfigError, load_config, main, write_snapshot)
 from trajlab.goal import GridSpec, SemanticGrid, save_semantic_grid
@@ -382,6 +387,39 @@ class TestBadInputFiles:
         err = self.one_line_error(capsys)
         assert err.startswith("bad input file:") and "tracks.txt" in err
 
+    def test_empty_tracks_file_is_one_stderr_line(self, tmp_path):
+        # pytest captures warnings, so only a separate process sees every line on stderr
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, {})
+        (data_dir / "tracks.txt").write_text("")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(trajlab.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "trajlab.cli", "train", "--set", f"run.out_dir={tmp_path}",
+             "--set", f"data.dataset_dir={data_dir}"] + SMALL,
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_CHECKPOINT
+        assert proc.stderr.splitlines() == [
+            f"bad input file: {data_dir / 'tracks.txt'}: no training window: 0 windows in all, "
+            "and validation holds out at least one"]
+
+    @pytest.mark.parametrize("command", ["predict", "bench"])
+    def test_no_validation_window_names_tracks(self, pipeline, tmp_path, capsys, command):
+        _, synth_dir, run_dir = pipeline
+        data_dir = tmp_path / "data"
+        # the checkpoint's grid; the only track keeps 12 frames, fewer than t_h + t_f = 20
+        write_dataset(data_dir, {1: (0, (2.0, 8.0), (0.3, 0.0))},
+                      (synth_dir / "semantic.grid").read_bytes())
+        lines = (data_dir / "tracks.txt").read_text().splitlines()
+        (data_dir / "tracks.txt").write_text("\n".join(lines[:12]) + "\n")
+        out = tmp_path / "run"
+        assert run(out, command, "--set", f"data.dataset_dir={data_dir}",
+                   "--set", f"eval.checkpoint={run_dir / 'checkpoint.npz'}",
+                   "--set", "eval.trunk_steps=2") == EXIT_CHECKPOINT
+        assert self.one_line_error(capsys).startswith(
+            f"bad input file: {data_dir / 'tracks.txt'}: no validation window")
+        assert not any(out.glob("*.json")) and not any(out.glob("*.csv"))
+
     @pytest.mark.parametrize("damage", ["truncated", "unversioned", "nan-weight", "tiny-sigma",
                                         "odd-embed-dim", "zero-hidden", "fractional-embed-dim",
                                         "npy-file"])
@@ -455,6 +493,15 @@ class TestBadInputFiles:
             err = self.one_line_error(capsys)
             assert err.startswith(f"bad input file: {path}: ") and err.count(str(path)) == 1
 
+    def test_deeply_nested_predictions_is_4(self, tmp_path, capsys):
+        # json gives up on nesting this deep with a RecursionError
+        path = tmp_path / "predictions.json"
+        path.write_text("[" * 100000)
+        assert run(tmp_path / "run", "eval", "--set", f"eval.predictions={path}") \
+            == EXIT_CHECKPOINT
+        assert self.one_line_error(capsys).startswith(f"bad input file: {path}: ")
+        assert not (tmp_path / "run" / "displacement.csv").exists()
+
     def test_eval_without_records_is_4(self, tmp_path, capsys):
         path = tmp_path / "predictions.json"
         path.write_text("[]")
@@ -506,7 +553,6 @@ WELL_FORMED = {
 
 
 @pytest.mark.parametrize("name", sorted(WELL_FORMED))
-@pytest.mark.filterwarnings("ignore:.*no observations parsed:UserWarning")
 @settings(max_examples=30, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,10 +57,11 @@ class TestParsing:
         with pytest.raises(ValueError, match="^line 1: unparseable"):
             parse_trajectory_file(path)
 
-    def test_empty_file_warns(self, tmp_path):
+    def test_empty_file_gives_no_tracks_and_no_warning(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert parse_trajectory_file(path) == []
 
     def test_round_trip(self, tmp_path):
@@ -112,6 +115,17 @@ class TestWindows:
         assert [w.history[0, 0] for w in ws] == [0.0, 1.0, 2.0, 22.0]
         tail, = tail_windows([Track("s", 0, frames, xy)], 8, 12)
         assert tail.frame_base == 500
+
+    def test_frame_step_is_the_scenes_not_the_tracks(self):
+        # the scene steps by 10; a track observed every 20 frames has a gap at
+        # every step, so no window of it may span frames 0-380
+        sparse = straight_track(20, agent=1, frame_step=20)
+        dense = straight_track(30, agent=2, frame_step=10)
+        ws = make_windows([sparse, dense], 8, 12)
+        assert {w.agent_id for w in ws} == {2}
+        assert [w.agent_id for w in tail_windows([sparse, dense], 8, 12)] == [2]
+        assert len(make_windows([sparse], 8, 12)) == 1  # alone, it sets its scene's step
+        assert make_windows([sparse, straight_track(30, 2, 10, scene="t")], 8, 12)[0].agent_id == 1
 
     def test_subsampled_frames_accepted(self):
         ws = make_windows([straight_track(20, frame_step=10)], 8, 12)

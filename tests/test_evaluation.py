@@ -102,7 +102,7 @@ class TestBench:
 
     def test_rows_and_exact_eval_counts(self, setup):
         model, sem, sched, windows = setup
-        base = SamplerConfig(K=20, K_I=5, K_t=0, N=4, t_f=3)
+        base = SamplerConfig(K=20, K_I=5, K_t=0, N=4)
         rows = bench_samplers(model, windows, sem, sched, base, trunk_steps=(4, 8))
         assert [r.sampler for r in rows] == ["ddpm", "ddim", "d_ddpm", "ts", "ts"]
         for r in rows:
@@ -114,12 +114,12 @@ class TestBench:
         # the eval counter is an instance attribute only while a pass runs, so a
         # later patch of the class method sees this model's calls
         model, sem, sched, windows = setup
-        bench_samplers(model, windows, sem, sched, SamplerConfig(K=20, K_I=5, N=2, t_f=3),
+        bench_samplers(model, windows, sem, sched, SamplerConfig(K=20, K_I=5, N=2),
                        trunk_steps=(4,))
         assert "predict_noise" not in vars(model.denoiser)
 
     def test_csv_layout(self, setup, tmp_path):
-        row = BenchRow("ts", SamplerConfig(K=20, K_I=5, K_t=4, N=4, t_f=3),
+        row = BenchRow("ts", SamplerConfig(K=20, K_I=5, K_t=4, N=4),
                        1.25, 2.5, 36, 7.125)
         path = tmp_path / "bench.csv"
         write_bench_csv(path, [row])

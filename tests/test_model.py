@@ -52,7 +52,7 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         model.save(path)
         back = PredictionModel.load(path)
-        scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3, t_f=3)
+        scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3)
         sched = default_schedule(10)
         a = model.predict_window(history, sem, scfg, sched, NoiseStream(1),
                                  np.random.default_rng(1))
@@ -128,7 +128,7 @@ def test_condition_features_tag_the_condition_rows(setup, rng):
 class TestPredictWindow:
     def test_output_shape_and_reproducibility(self, setup):
         model, sem, history = setup
-        scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=4, t_f=3)
+        scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=4)
         sched = default_schedule(10)
         a = model.predict_window(history, sem, scfg, sched, NoiseStream(3),
                                  np.random.default_rng(3))
@@ -140,7 +140,7 @@ class TestPredictWindow:
 
     def test_rules_and_ttst_run(self, setup):
         model, sem, history = setup
-        scfg = SamplerConfig(K=10, K_I=5, K_t=0, N=2, t_f=3)
+        scfg = SamplerConfig(K=10, K_I=5, K_t=0, N=2)
         sched = default_schedule(10)
         for rule in ("ts", "ddpm", "d_ddpm", "ddim"):
             out = model.predict_window(history, sem, scfg, sched, NoiseStream(0),
@@ -151,7 +151,7 @@ class TestPredictWindow:
     def test_agent_centric_translation_covariance(self, setup):
         # shifting history shifts predictions by the same offset
         model, sem, history = setup
-        scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3, t_f=3)
+        scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3)
         sched = default_schedule(10)
         base = model.predict_window(history, sem, scfg, sched, NoiseStream(5),
                                     np.random.default_rng(5))
@@ -166,14 +166,14 @@ class TestPredictWindow:
     def test_semantic_grid_off_the_model_grid_rejected(self, setup):
         model, _, history = setup
         sem = SemanticGrid(GridSpec(12, 12, (0.5, 0.5), 0.5), np.ones((1, 12, 12)))
-        scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3, t_f=3)
+        scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3)
         with pytest.raises(ValueError, match="does not match the model's grid"):
             model.predict_window(history, sem, scfg, default_schedule(10), NoiseStream(0),
                                  np.random.default_rng(0))
 
     def test_history_outside_grid_rejected(self, setup):
         model, sem, history = setup
-        scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3, t_f=3)
+        scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3)
         outside = history + np.array([8.0, 0.0])  # x = 10, 11, 12, 13 on a 12 m grid
         with pytest.raises(ValueError, match=r"position 3 \[13\.0, 6\.0\] outside grid"):
             model.predict_window(outside, sem, scfg, default_schedule(10), NoiseStream(0),

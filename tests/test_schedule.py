@@ -13,12 +13,12 @@ def test_single_step_schedule():
     assert s.K == 1
     assert s.betas.tolist() == [1e-4]
     assert s.alpha_bar(1) == pytest.approx(0.9999)
-    assert s.alpha_bar(1) == s.alpha(1)
+    assert s.alpha_bar(1) == 1.0 - s.betas[0]
 
 
 def test_monotone_alpha_bar():
     s = make_linear_schedule(100, 1e-4, 0.05)
-    assert s.alpha(1) == pytest.approx(0.9999)
+    assert 1.0 - s.betas[0] == pytest.approx(0.9999)
     assert np.all(np.diff(s.alpha_bars) < 0)
     assert s.alpha_bar(100) < s.alpha_bar(1)
 
@@ -38,7 +38,8 @@ def test_alpha_bar_matches_arbitrary_precision_product():
 def test_recurrence_exact():
     s = make_linear_schedule(250, 1e-4, 0.05)
     for k in range(2, s.K + 1):
-        assert s.alpha_bar(k) == pytest.approx(s.alpha_bar(k - 1) * s.alpha(k), rel=1e-12)
+        assert s.alpha_bar(k) == pytest.approx(s.alpha_bar(k - 1) * (1.0 - s.betas[k - 1]),
+                                                rel=1e-12)
 
 
 def test_invalid_construction():

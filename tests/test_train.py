@@ -201,7 +201,7 @@ class TestTrainer:
         model, sem, sched, trainer = tiny_setup()
         outside = windows[0].history + np.array([20.0, 0.0])
         with pytest.raises(ValueError, match="outside grid"):
-            model.predict_window(outside, sem, SamplerConfig(K=10, K_I=5, K_t=2, N=3, t_f=3),
+            model.predict_window(outside, sem, SamplerConfig(K=10, K_I=5, K_t=2, N=3),
                                  sched, NoiseStream(0), np.random.default_rng(0))
         assert trainer.train_epoch(windows) == ref
         for name, p in model.parameters().items():
