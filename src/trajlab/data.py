@@ -1,7 +1,8 @@
 """Trajectory data: file parsing, windowing, splits, synthetic scenes.
 
 Trajectory files use the community plain-text format: one observation per
-line, whitespace separated `frame agent_id x y`, with positions in meters.
+line, whitespace separated `frame agent_id x y`, with integral frame and agent
+ids (`780.0` reads as 780) and positions in meters.
 The synthetic generator produces corridor scenes where each agent walks from
 a start band to one of M goal anchors, giving a dataset with known
 multi-modal ground truth.
@@ -36,8 +37,9 @@ class TrajectoryWindow:
 
 
 def parse_trajectory_file(path, scene_id: str | None = None) -> list[Track]:
-    """Parse `frame agent x y` lines into per-agent tracks sorted by frame. A bad
-    line is a ValueError naming its line number."""
+    """Parse `frame agent x y` lines into per-agent tracks sorted by frame. Frame
+    and agent ids are integral numbers (`780` or `780.0`). A bad line is a
+    ValueError naming its line number."""
     scene = scene_id if scene_id is not None else str(path)
     rows: dict[int, list[tuple[int, float, float]]] = {}
     seen: set[tuple[int, int]] = set()
@@ -50,11 +52,13 @@ def parse_trajectory_file(path, scene_id: str | None = None) -> list[Track]:
             if len(parts) != 4:
                 raise ValueError(f"line {lineno}: expected 4 fields, got {len(parts)}")
             try:
-                frame = int(float(parts[0]))
-                agent = int(float(parts[1]))
-                x, y = float(parts[2]), float(parts[3])
-            except (ValueError, OverflowError) as e:  # int(float("inf")) overflows
+                frame, agent, x, y = map(float, parts)
+            except ValueError as e:
                 raise ValueError(f"line {lineno}: unparseable numeric field: {e}") from e
+            for name, value, text in (("frame", frame, parts[0]), ("agent", agent, parts[1])):
+                if not value.is_integer():  # 780.0 is frame 780; 1.5 and inf are no id
+                    raise ValueError(f"line {lineno}: {name} {text} is not an integer")
+            frame, agent = int(frame), int(agent)
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"line {lineno}: non-finite position {x} {y}")
             if (frame, agent) in seen:

@@ -3,8 +3,9 @@
 Conditioning is by concatenation: flattened noisy trajectory, sinusoidal
 step embedding, and the condition feature feed a dense trunk with residual
 blocks. `forward_t` builds the autodiff graph for training; `predict_noise`
-is the matching plain-numpy path used inside sampling loops, where per-call
-overhead dominates: it reads each step's embedding from a cache.
+is the matching plain-numpy path on one row, used inside sampling loops, where
+per-call overhead dominates: it reads each step's embedding from a cache and
+leaves the finiteness check to the sampler, which makes it once per step.
 """
 
 from __future__ import annotations
@@ -39,15 +40,15 @@ class NoisePredictor:
         return self.outp(h)
 
     def predict_noise(self, k: int, Yk: np.ndarray, f) -> np.ndarray:
-        """Fast evaluation path; `f` is a ConditionFeature or a raw vector."""
+        """Fast evaluation path on one (t_f, 2) row; `f` is a ConditionFeature or
+        a raw vector. The sampler checks its output for non-finite values."""
         vec = getattr(f, "vector", f)
         x = np.concatenate([np.asarray(Yk).ravel(), self.embed.step(k), np.asarray(vec)])
-        h = np.tanh(x @ self.inp.w.data + self.inp.b.data)
+        h = np.tanh(np.dot(x, self.inp.w.data) + self.inp.b.data)
         for d1, d2 in self.res:
-            h = h + np.tanh(h @ d1.w.data + d1.b.data) @ d2.w.data + d2.b.data
-        out = h @ self.outp.w.data + self.outp.b.data
-        if not np.isfinite(out).all():
-            raise ValueError(f"noise predictor produced non-finite output at step {k}")
+            h += np.dot(np.tanh(np.dot(h, d1.w.data) + d1.b.data), d2.w.data)
+            h += d2.b.data
+        out = np.dot(h, self.outp.w.data) + self.outp.b.data
         return out.reshape(self.t_f, 2)
 
     def parameters(self) -> dict:

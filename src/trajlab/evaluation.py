@@ -149,28 +149,41 @@ def write_predictions_json(path, records: list[dict]) -> None:
 
 def read_predictions_json(path) -> list[dict]:
     """Records as write_predictions_json writes them, arrays as float64. A record
-    without a key, or whose predictions are not a finite (N, t_f, 2) set over a
-    finite (t_f, 2) gt, raises ValueError naming its index."""
+    without a key, or whose predictions are not a finite (N, t_f, 2) set of
+    numbers over a finite (t_f, 2) gt, raises ValueError naming its index."""
     with open(path) as f:
         payload = json.load(f)
     if not isinstance(payload, list):
         raise ValueError("expected a JSON list of prediction records")
     for i, r in enumerate(payload):
-        if not isinstance(r, dict):
-            raise ValueError(f"record {i}: not a JSON object")
-        missing = [key for key in _RECORD_KEYS if key not in r]
-        if missing:
-            raise ValueError(f"record {i}: missing key {missing[0]!r}")
         try:
-            preds = np.asarray(r["predictions"], dtype=np.float64)
-            gt = np.asarray(r["gt"], dtype=np.float64)
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"record {i}: predictions/gt are not numeric arrays: {e}") from e
-        if not (gt.ndim == 2 and gt.size and gt.shape[1] == 2
-                and preds.ndim == 3 and preds.size and preds.shape[1:] == gt.shape):
-            raise ValueError(f"record {i}: predictions {preds.shape} and gt {gt.shape} "
-                             "are not (N, t_f, 2) and (t_f, 2)")
-        if not (np.all(np.isfinite(preds)) and np.all(np.isfinite(gt))):
-            raise ValueError(f"record {i}: non-finite predictions or gt")
-        r["predictions"], r["gt"] = preds, gt
+            r["predictions"], r["gt"] = _record_arrays(r)
+        except ValueError as e:
+            raise ValueError(f"record {i}: {e}") from None
     return payload
+
+
+def _record_arrays(r) -> tuple[np.ndarray, np.ndarray]:
+    """One record's schema in one pass: its keys, then predictions and gt as
+    nested JSON arrays of numbers (booleans are not numbers), their shapes and
+    their finiteness."""
+    if not isinstance(r, dict):
+        raise ValueError("not a JSON object")
+    missing = [key for key in _RECORD_KEYS if key not in r]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r}")
+    preds, gt = np.array(r["predictions"], dtype=object), np.array(r["gt"], dtype=object)
+    if not all(type(v) in (int, float) for a in (preds, gt) for v in a.flat):
+        raise ValueError("predictions/gt are not arrays of numbers")
+    if not (gt.ndim == 2 and gt.size and gt.shape[1] == 2
+            and preds.ndim == 3 and preds.size and preds.shape[1:] == gt.shape):
+        raise ValueError(f"predictions {preds.shape} and gt {gt.shape} "
+                         "are not (N, t_f, 2) and (t_f, 2)")
+    try:
+        preds, gt = preds.astype(np.float64), gt.astype(np.float64)
+        finite = np.all(np.isfinite(preds)) and np.all(np.isfinite(gt))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError("non-finite predictions or gt")
+    return preds, gt

@@ -159,7 +159,7 @@ class PredictionModel:
         else:
             trajs = sample_standard(denoise, f_diverse, sampler_cfg, schedule, rng, rule,
                                     self.cfg.t_f)
-        return np.stack(trajs) + history[-1]
+        return trajs + history[-1]
 
 
 def _typed(key: str, value, kind: type):

@@ -6,11 +6,12 @@ pairs, unit steps or a strided sub-sequence, and eta. DDPM is the unit-stride
 jump at eta = 1, and d-DDPM is DDPM without the noise draw. A chain's
 coefficients are computed once, then one loop applies them: the tree sampler
 runs a d-DDPM trunk under the common feature, then N DDIM branches that share
-one coefficient list. Finiteness is checked once per chain output.
+one coefficient list. The loop advances all chains of a call in lockstep as one
+(R, t_f, 2) array, and checks each step's denoiser outputs for all chains at once.
 
-Trajectories are plain (t_f, 2) float64 arrays, t_f being the model's. Denoisers
-are passed in as callables `denoiser(k, y, f) -> eps`, where `f` is whatever
-conditioning object the caller uses (the sampler never inspects it).
+Trajectories are float64 arrays, t_f being the model's. Denoisers are passed in
+as callables `denoiser(k, y, f) -> eps` on one (t_f, 2) row, where `f` is
+whatever conditioning object the caller uses (the sampler never inspects it).
 """
 
 from __future__ import annotations
@@ -154,15 +155,26 @@ def _chain_rows(s: NoiseSchedule, pairs, eta: float, stochastic: bool) -> list[t
     return rows
 
 
-def _reverse_chain(y: np.ndarray, rows, denoiser, f, stream, name: str) -> np.ndarray:
-    """Apply the rows' updates in order, one denoiser eval per row."""
+def _reverse_chain(Y: np.ndarray, rows, denoiser, fs: list, rng, names: list) -> np.ndarray:
+    """Advance the chains of `Y` (R, t_f, 2) in lockstep through the rows: at
+    each step one denoiser eval per chain, chain n under `fs[n]`, drawing its
+    noise from `rng.fork(n)`; errors name chain n `names[n]`."""
+    streams = [rng.fork(n) for n in range(len(Y))] if any(r[4] for r in rows) else []
     for k_hi, a, b, sigma, draw in rows:
-        y = a * y + b * denoiser(k_hi, y, f)
+        eps = np.stack([denoiser(k_hi, y, f) for y, f in zip(Y, fs)])
+        _check_finite(eps, names, f"denoiser output is non-finite at step {k_hi}")
+        Y = a * Y + b * eps
         if draw:
-            y = y + sigma * stream.normal(y.shape)
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"{name} produced non-finite values")
-    return y
+            Y += sigma * np.stack([stream.normal(Y.shape[1:]) for stream in streams])
+    _check_finite(Y, names, "non-finite values after the last step")
+    return Y
+
+
+def _check_finite(X: np.ndarray, names: list, problem: str) -> None:
+    """Raise naming the first chain (row of X) that holds a non-finite value."""
+    if not np.isfinite(X).all():
+        n = int(np.argmin(np.isfinite(X).reshape(len(X), -1).all(axis=1)))
+        raise ValueError(f"{names[n]}: {problem}")
 
 
 def _check_run(cfg: SamplerConfig, s: NoiseSchedule, n_features: int) -> None:
@@ -173,24 +185,24 @@ def _check_run(cfg: SamplerConfig, s: NoiseSchedule, n_features: int) -> None:
 
 
 def tree_sample(denoiser, f_common, f_diverse: list, cfg: SamplerConfig,
-                s: NoiseSchedule, rng: NoiseStream, t_f: int) -> list[np.ndarray]:
+                s: NoiseSchedule, rng: NoiseStream, t_f: int) -> np.ndarray:
     """Trunk/branch sampling: one shared deterministic trunk conditioned on the
-    common feature, then one DDIM branch per diverse feature.
+    common feature, then one DDIM branch per diverse feature; (N, t_f, 2).
 
     Denoiser cost is K_t + N * K_b regardless of how the branches interleave.
     """
     _check_run(cfg, s, len(f_diverse))
     trunk = _chain_rows(s, _unit_pairs(cfg.K, cfg.K_t), 1.0, stochastic=False)
-    y = _reverse_chain(rng.normal((t_f, 2)), trunk, denoiser, f_common, None, "trunk")
+    y = _reverse_chain(rng.normal((1, t_f, 2)), trunk, denoiser, [f_common], rng, ["trunk"])
     pairs = ddim_subsequence(cfg.K, cfg.K_t, branch_step_count(cfg.K, cfg.K_I, cfg.K_t))
     branch = _chain_rows(s, pairs, cfg.eta, stochastic=True)
-    return [_reverse_chain(y, branch, denoiser, f_n, rng.fork(n), f"branch {n}")
-            for n, f_n in enumerate(f_diverse)]
+    return _reverse_chain(np.broadcast_to(y, (cfg.N, t_f, 2)), branch, denoiser, f_diverse,
+                          rng, [f"branch {n}" for n in range(cfg.N)])
 
 
 def sample_standard(denoiser, f: list, cfg: SamplerConfig, s: NoiseSchedule,
-                    rng: NoiseStream, rule: str, t_f: int) -> list[np.ndarray]:
-    """N independent full reverse chains under one of the baseline rules.
+                    rng: NoiseStream, rule: str, t_f: int) -> np.ndarray:
+    """N independent full reverse chains under one of the baseline rules; (N, t_f, 2).
 
     All chains share the initial Gaussian draw (drawn once from the parent
     stream) and consume per-chain noise from index-keyed forked streams, which
@@ -199,10 +211,10 @@ def sample_standard(denoiser, f: list, cfg: SamplerConfig, s: NoiseSchedule,
     if rule not in ("ddpm", "d_ddpm", "ddim"):
         raise ValueError(f"unknown sampling rule {rule!r}")
     _check_run(cfg, s, len(f))
-    y_init = rng.normal((t_f, 2))
+    y_init = rng.normal((1, t_f, 2))
     if rule == "ddim":
         rows = _chain_rows(s, ddim_subsequence(cfg.K, 0, cfg.K_I), cfg.eta, stochastic=True)
     else:
         rows = _chain_rows(s, _unit_pairs(cfg.K, cfg.K), 1.0, stochastic=rule == "ddpm")
-    return [_reverse_chain(y_init, rows, denoiser, f_n, rng.fork(n), f"{rule} chain {n}")
-            for n, f_n in enumerate(f)]
+    return _reverse_chain(np.broadcast_to(y_init, (cfg.N, t_f, 2)), rows, denoiser, f, rng,
+                          [f"{rule} chain {n}" for n in range(cfg.N)])

@@ -336,6 +336,15 @@ class TestBadInputFiles:
             == EXIT_CHECKPOINT
         assert "tracks.txt: line 21: expected 4 fields" in self.one_line_error(capsys)
 
+    def test_non_integral_track_id_names_the_line(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        write_dataset(data_dir, {1: (0, (2.0, 8.0), (0.3, 0.0))})
+        with open(data_dir / "tracks.txt", "a") as f:
+            f.write("300 1.5 4.0 8.0\n")
+        assert run(tmp_path / "run", "train", "--set", f"data.dataset_dir={data_dir}") \
+            == EXIT_CHECKPOINT
+        assert "tracks.txt: line 21: agent 1.5 is not an integer" in self.one_line_error(capsys)
+
     @pytest.mark.parametrize("position", ["nan 2", "1 inf"])
     def test_non_finite_track_position_names_the_line(self, tmp_path, capsys, position):
         data_dir = tmp_path / "data"
@@ -518,6 +527,8 @@ class TestBadInputFiles:
          '"gt": [[0, 0]]}', "record 1: non-finite"),
         ('{"scene": "s", "agent": 1, "frame_base": 0, "predictions": [[[0, 0], [1, 1], '
          '[2, 2]]], "gt": [[0, 0], [1, 1]]}', "record 1: predictions (1, 3, 2) and gt (2, 2)"),
+        ('{"scene": "s", "agent": 1, "frame_base": 0, "predictions": [[[true, false]]], '
+         '"gt": [[0, 0]]}', "record 1: predictions/gt are not arrays of numbers"),
         ('[1, 2]', "record 1: not a JSON object"),
         ('{"scene": ', "predictions.json: Expecting value"),
     ])

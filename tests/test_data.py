@@ -57,6 +57,17 @@ class TestParsing:
         with pytest.raises(ValueError, match="^line 1: unparseable"):
             parse_trajectory_file(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1.5 3 1 2\n2 3 1 2\n", "line 1: frame 1.5"),
+        ("1 3 1 2\n2 3.9 1 2\n", "line 2: agent 3.9"),
+        ("1 3 1 2\ninf 3 1 2\n", "line 2: frame inf")])
+    def test_non_integral_id_rejected(self, tmp_path, text, message):
+        # truncated, "1.5 3 1 2" and "2 3.9 1 2" read as one two-frame track of agent 3
+        path = tmp_path / "scene.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+            parse_trajectory_file(path)
+
     def test_empty_file_gives_no_tracks_and_no_warning(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")

@@ -4,6 +4,8 @@ import pytest
 from conftest import finite_difference, rel_error
 from trajlab.denoiser import NoisePredictor
 from trajlab.nncore import Parameter, Tensor
+from trajlab.sampler import NoiseStream, SamplerConfig, sample_standard, tree_sample
+from trajlab.schedule import make_linear_schedule
 
 
 def make_net(seed=0, **kw):
@@ -64,11 +66,36 @@ class TestForwardPaths:
         assert not np.allclose(net.predict_noise(3, y, np.zeros(6)),
                                net.predict_noise(3, y, np.ones(6)))
 
+    @pytest.mark.parametrize("dims", [{}, dict(t_f=12, d_f=64, width=64, embed_dim=32, blocks=3)],
+                             ids=["small", "model-default"])
+    def test_fast_path_bitwise_equals_matmul_expression(self, rng, dims):
+        # the row path is written with np.dot and in-place residual adds; it must
+        # round exactly as `x @ W + b` with out-of-place adds does
+        net = make_net(seed=5, **dims)
+        for layer in [net.inp, *(d for pair in net.res for d in pair), net.outp]:
+            layer.b.data[...] = rng.standard_normal(layer.b.data.shape)
+        t_f, d_f = net.t_f, dims.get("d_f", 6)
+        for k in (1, 17, 100):
+            y, f = rng.standard_normal((t_f, 2)), rng.standard_normal(d_f)
+            x = np.concatenate([y.ravel(), net.embed.step(k), f])
+            h = np.tanh(x @ net.inp.w.data + net.inp.b.data)
+            for d1, d2 in net.res:
+                h = h + np.tanh(h @ d1.w.data + d1.b.data) @ d2.w.data + d2.b.data
+            expected = (h @ net.outp.w.data + net.outp.b.data).reshape(t_f, 2)
+            assert np.array_equal(net.predict_noise(k, y, f), expected)
+
     def test_nonfinite_output_rejected(self, rng):
+        # the sampler checks every step's outputs, for all chains at once
         net = make_net()
         net.outp.w.data[...] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            net.predict_noise(1, rng.standard_normal((4, 2)), np.zeros(6))
+        s = make_linear_schedule(10)
+        cfg = SamplerConfig(K=10, K_I=5, K_t=2, N=2)
+        fs = [rng.standard_normal(6) for _ in range(2)]
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="^trunk: .*non-finite at step 10$"):
+                tree_sample(net.predict_noise, fs[0], fs, cfg, s, NoiseStream(0), 4)
+            with pytest.raises(ValueError, match="^ddim chain 0: .*non-finite at step 10$"):
+                sample_standard(net.predict_noise, fs, cfg, s, NoiseStream(0), "ddim", 4)
 
 
 class TestGradients:

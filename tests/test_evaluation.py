@@ -141,6 +141,21 @@ class TestPredictionsJson:
         np.testing.assert_allclose(back[0]["predictions"], records[0]["predictions"])
         np.testing.assert_allclose(back[0]["gt"], records[0]["gt"])
 
+    @pytest.mark.parametrize("predictions, gt, message", [
+        ("[[[true, false]]]", "[[0, 0]]", "record 0: predictions/gt are not arrays of numbers"),
+        ("[[[0, 0]]]", "[[0, \"1\"]]", "record 0: predictions/gt are not arrays of numbers"),
+        ("[[[0, 0]], [[1]]]", "[[0, 0]]", "record 0: predictions/gt are not arrays of numbers"),
+        ("[[[1" + "0" * 400 + ", 0]]]", "[[0, 0]]", "record 0: non-finite predictions or gt"),
+        ("[[[0, 0]]]", "[[0, 0, 0]]", r"record 0: predictions \(1, 1, 2\) and gt \(1, 3\)"),
+    ])
+    def test_record_schema(self, tmp_path, predictions, gt, message):
+        # booleans once read as 1.0 and 0.0, and a huge integer as an OverflowError
+        path = tmp_path / "preds.json"
+        path.write_text('[{"scene": "s", "agent": 0, "frame_base": 0, '
+                        f'"predictions": {predictions}, "gt": {gt}}}]')
+        with pytest.raises(ValueError, match=f"^{message}"):
+            read_predictions_json(path)
+
     def test_payload_must_be_a_list(self, tmp_path):
         path = tmp_path / "preds.json"
         path.write_text('{"scene": "eth"}')

@@ -328,6 +328,129 @@ class TestChainFiniteness:
             sample_standard(nan, [0], cfg, s, NoiseStream(0), "d_ddpm", 3)
 
 
+def _per_chain_loop(y, rows, denoiser, f, stream):
+    """The loop the lockstep chain replaced: one chain at a time, all its steps."""
+    for k_hi, a, b, sigma, draw in rows:
+        y = a * y + b * denoiser(k_hi, y, f)
+        if draw:
+            y = y + sigma * stream.normal(y.shape)
+    return y
+
+
+def per_chain_sample(denoiser, f_common, fs, cfg, s, rng, rule, t_f):
+    """Oracle: tree_sample (rule "ts") or sample_standard, chain after chain."""
+    if rule == "ts":
+        trunk = sampler._chain_rows(s, sampler._unit_pairs(cfg.K, cfg.K_t), 1.0, False)
+        y = _per_chain_loop(rng.normal((t_f, 2)), trunk, denoiser, f_common, None)
+        pairs = ddim_subsequence(cfg.K, cfg.K_t, branch_step_count(cfg.K, cfg.K_I, cfg.K_t))
+        rows = sampler._chain_rows(s, pairs, cfg.eta, True)
+    else:
+        y = rng.normal((t_f, 2))
+        if rule == "ddim":
+            rows = sampler._chain_rows(s, ddim_subsequence(cfg.K, 0, cfg.K_I), cfg.eta, True)
+        else:
+            rows = sampler._chain_rows(s, sampler._unit_pairs(cfg.K, cfg.K), 1.0, rule == "ddpm")
+    return np.stack([_per_chain_loop(y, rows, denoiser, f, rng.fork(n))
+                     for n, f in enumerate(fs)])
+
+
+def lockstep_sample(denoiser, f_common, fs, cfg, s, rng, rule, t_f):
+    if rule == "ts":
+        return tree_sample(denoiser, f_common, fs, cfg, s, rng, t_f)
+    return sample_standard(denoiser, fs, cfg, s, rng, rule, t_f)
+
+
+class _LoggedForks:
+    """Stream stub: the parent draws from a real NoiseStream; fork n draws the
+    constant n + 1. Every draw is logged as ("draw", n) or ("parent",)."""
+
+    def __init__(self, seed: int, log: list):
+        self._parent = NoiseStream(seed)
+        self._log = log
+
+    def normal(self, shape) -> np.ndarray:
+        self._log.append(("parent",))
+        return self._parent.normal(shape)
+
+    def fork(self, index: int) -> SimpleNamespace:
+        def normal(shape):
+            self._log.append(("draw", index))
+            return np.full(shape, index + 1.0)
+        return SimpleNamespace(normal=normal)
+
+
+RULES = ["ts", "ddpm", "d_ddpm", "ddim"]
+
+
+class TestLockstepChain:
+    CFG = SamplerConfig(K=30, K_I=10, K_t=6, N=4, eta=0.7)
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_stub_denoiser_matches_per_chain_loop_bitwise(self, rule):
+        s = make_linear_schedule(30)
+        fs = [0.5, 1.5, 2.5, 3.5]
+        out = lockstep_sample(_CountingStub(), 9.0, fs, self.CFG, s, NoiseStream(17), rule, T_F)
+        oracle = per_chain_sample(_CountingStub(), 9.0, fs, self.CFG, s, NoiseStream(17), rule,
+                                  T_F)
+        assert out.shape == (4, T_F, 2)
+        assert out.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_real_denoiser_matches_per_chain_loop_bitwise(self, rule):
+        from trajlab.denoiser import NoisePredictor
+        net = NoisePredictor(t_f=T_F, d_f=6, width=16, embed_dim=8, blocks=2,
+                             rng=np.random.default_rng(5))
+        rng = np.random.default_rng(6)
+        s = make_linear_schedule(30)
+        fs = [rng.standard_normal(6) for _ in range(4)]
+        f_common = rng.standard_normal(6)
+        out = lockstep_sample(net.predict_noise, f_common, fs, self.CFG, s, NoiseStream(23),
+                              rule, T_F)
+        oracle = per_chain_sample(net.predict_noise, f_common, fs, self.CFG, s, NoiseStream(23),
+                                  rule, T_F)
+        assert out.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_steps_are_step_major_and_chain_n_draws_from_fork_n(self, rule):
+        cfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3, eta=1.0)
+        s = make_linear_schedule(10)
+        log = []
+        stub = lambda k, y, f: log.append(("eval", k, f)) or 0.1 * y
+        out = lockstep_sample(stub, "c", [0, 1, 2], cfg, s, _LoggedForks(4, log), rule, T_F)
+        expected = [("parent",)]
+        if rule == "ts":
+            expected += [("eval", k, "c") for k in (10, 9)]
+            rows = sampler._chain_rows(s, ddim_subsequence(10, 2, 4), 1.0, True)
+        elif rule == "ddim":
+            rows = sampler._chain_rows(s, ddim_subsequence(10, 0, 5), 1.0, True)
+        else:
+            rows = sampler._chain_rows(s, sampler._unit_pairs(10, 10), 1.0, rule == "ddpm")
+        for k_hi, _, _, _, draw in rows:
+            expected += [("eval", k_hi, n) for n in range(3)]
+            expected += [("draw", n) for n in range(3)] if draw else []
+        assert log == expected
+        oracle = per_chain_sample(lambda k, y, f: 0.1 * y, "c", [0, 1, 2], cfg, s,
+                                  _LoggedForks(4, []), rule, T_F)
+        assert out.tobytes() == oracle.tobytes()
+
+    def test_first_non_finite_step_and_chain_are_named(self):
+        s = make_linear_schedule(10)
+        cfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3)
+        nan_at_6 = lambda k, y, f: np.full_like(y, np.nan if (k, f) == (6, 2) else 0.0)
+        with pytest.raises(ValueError, match="^branch 2: .*non-finite at step 6$"):
+            tree_sample(nan_at_6, 0, [0, 1, 2], cfg, s, NoiseStream(0), 3)
+
+    def test_overflowing_update_is_caught_at_the_end(self):
+        # every output is finite, but chain 1's update at step 2 (a = b = ~31.6)
+        # overflows: the final state is checked too
+        s = NoiseSchedule(np.array([0.1, 0.999]))
+        cfg = SamplerConfig(K=2, K_I=1, K_t=0, N=2)
+        huge_in_chain_1 = lambda k, y, f: np.full_like(y, -1e307 if f == 1 else 0.0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="^d_ddpm chain 1: non-finite values after the last step$"):
+            sample_standard(huge_in_chain_1, [0, 1], cfg, s, NoiseStream(0), "d_ddpm", 3)
+
+
 class TestSampleStandard:
     def test_ddpm_eval_count(self):
         s = make_linear_schedule(100)
