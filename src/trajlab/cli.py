@@ -259,7 +259,11 @@ def cmd_train(cfg: dict, out: Path) -> None:
         raise InputFileError(f"{tracks_path}: no training window: {len(windows)} windows in "
                              f"all, and validation holds out at least one")
     # the goal net takes as many semantic channels as the dataset's grid has
-    model = PredictionModel(_build(cfg, "model", sem_channels=len(sem.channels)), sem.grid)
+    model_cfg = _build(cfg, "model", sem_channels=len(sem.channels))
+    try:
+        model = PredictionModel(model_cfg, sem.grid)
+    except ValueError as e:  # a grid the goal net cannot take
+        raise InputFileError(f"{Path(cfg['data']['dataset_dir']) / 'semantic.grid'}: {e}") from e
     trainer = Trainer(model, sem, default_schedule(**cfg["schedule"]), _build(cfg, "train"))
     history = trainer.fit(train_set, log_path=out / "metrics.csv",
                           max_seconds=cfg["train"]["max_seconds"])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nncore import Dense, LSTMCell, Tensor
+from .nncore import Dense, LSTMCell, Tensor, lstm
 
 
 @dataclass
@@ -44,18 +44,13 @@ class SequenceEncoder:
     def __init__(self, hidden: int = 64, d_f: int = 64,
                  rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.hidden = hidden
         self.cell = LSTMCell(8, hidden, rng)
         self.proj = Dense(hidden, d_f, rng)
 
     def forward_t(self, rows: np.ndarray) -> Tensor:
-        """Batched graph forward: (B, t_h, 8) -> Tensor (B, d_f)."""
-        b, t_h, _ = rows.shape
-        h = Tensor(np.zeros((b, self.hidden)))
-        c = Tensor(np.zeros((b, self.hidden)))
-        for t in range(t_h):
-            h, c = self.cell(Tensor(rows[:, t]), h, c)
-        return self.proj(h)
+        """Batched graph forward: (B, t_h, 8) -> Tensor (B, d_f). The LSTM over
+        the t_h rows is one op (`lstm`) on the cell's parameters."""
+        return self.proj(lstm(rows, self.cell.wx, self.cell.wh, self.cell.b))
 
     def encode(self, rows: np.ndarray) -> Tensor:
         """`forward_t` of (B, t_h, 8) rows with both sides checked finite: Tensor (B, d_f)."""

@@ -4,9 +4,11 @@ World coordinates are meters; GridSpec is the one affine map between world
 points and pixel centers, and it maps whole arrays of points at once. The
 predictor is a small encoder-decoder convnet with skip connections that turns
 stacked history heat-maps plus the semantic grid into per-frame future
-heat-map logits; the last channel is the goal distribution. Training and
-prediction share one goal stage: both reach the net through
-`predict_heatmaps`, which alone lays out its input for a batch of windows.
+heat-map logits; the last channel is the goal distribution. Each decoder
+layer convolves its upsampled input at low resolution (`upsample_conv`), so no
+upsampled map is built. Training and prediction share one goal stage: both
+reach the net through `predict_heatmaps`, which alone lays out its input for a
+batch of windows.
 Goal selection draws diverse goals categorically and takes the argmax pixel
 as the common goal; `argmax_goals` is that rule's one home, and student-forced
 training uses it too. With the test-time sampling trick it oversamples and
@@ -17,10 +19,11 @@ loop over clusters) and stops once the labels repeat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .nncore import Parameter, Tensor, concat, conv2d, uniform_init, upsample2x
+from .nncore import Parameter, Tensor, concat, conv2d, uniform_init
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,79 @@ def rasterize_points(points: np.ndarray, grid: GridSpec, sigma_px: float) -> np.
     return gr[..., :, None] * gc[..., None, :]
 
 
+# A 3-tap filter (r0, r1, r2) over a 2x-repeated signal is, at output phase 0,
+# the 2-tap filter (r0, r1 + r2) over the signal and, at phase 1, (r0 + r1, r2)
+# one sample later: _TAPS[i, a, r] is 1 where tap a of phase i sums tap r.
+_TAPS = np.array([[[1, 0, 0], [0, 1, 1]], [[1, 1, 0], [0, 0, 1]]], dtype=np.float64)
+# _FOLD[2i + j, 3r + c, 2a + b]: the same fold on both axes, flat taps in and out
+_FOLD = np.einsum("iar,jbc->ijrcab", _TAPS, _TAPS).reshape(4, 9, 4)
+
+
+def _phase_kernels(w: Tensor, c_low: int) -> Tensor:
+    """The (4 C_out, c_low, 2, 2) kernel folded from the first c_low input channels
+    of a (C_out, C, 3, 3) kernel: channel block 2i + j holds output phase (i, j).
+    The fold is one matmul by the constant 0/1 `_FOLD` (each folded tap sums
+    the 3x3 taps it covers), its gradient one by the transpose."""
+    cout = w.shape[0]
+    k = np.matmul(w.data[:, :c_low].reshape(cout * c_low, 9), _FOLD)  # (4, cout c_low, 4)
+
+    def grad_fn(g):
+        dw = np.zeros(w.data.shape)
+        dw[:, :c_low] = (np.matmul(g.reshape(k.shape), _FOLD.transpose(0, 2, 1)).sum(axis=0)
+                         .reshape(cout, c_low, 3, 3))
+        return dw
+
+    return Tensor(k.reshape(4 * cout, c_low, 2, 2), ((w, grad_fn),))
+
+
+def _add_phases(y: Tensor, p: Tensor) -> Tensor:
+    """(B, C, 2H, 2W) `y` plus the phases of (B, 4C, H + 1, W + 1) `p` interleaved:
+    pixel (2r + i, 2q + j) adds channel block 2i + j of `p` at (r + i, q + j)."""
+    bsz, c, h2, w2 = y.shape
+    h, wd = h2 // 2, w2 // 2
+    phases = (bsz, 2, 2, c, h + 1, wd + 1)
+    pd = p.data.reshape(phases)
+    out = np.empty(y.shape)
+    for i in (0, 1):
+        for j in (0, 1):
+            np.add(y.data[:, :, i::2, j::2], pd[:, i, j, :, i:i + h, j:j + wd],
+                   out=out[:, :, i::2, j::2])
+
+    def p_grad(g):
+        dp = np.zeros(phases)
+        for i in (0, 1):
+            for j in (0, 1):
+                dp[:, i, j, :, i:i + h, j:j + wd] = g[:, :, i::2, j::2]
+        return dp.reshape(p.shape)
+
+    return Tensor(out, ((y, lambda g: g), (p, p_grad)))
+
+
+def upsample_conv(low: Tensor, skip: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`conv2d(concat([upsample2x(low), skip], axis=1), w, b)` for a 3x3 kernel
+    with pad 1, without the upsampled map: the skip channels' 3x3 convolution
+    plus, for the low channels, one 2x2 pad-1 convolution of `low` whose four
+    channel blocks are the output's four pixel phases (the sub-pixel identity:
+    a 3-tap filter over a 2x-repeated row is a 2-tap filter per output phase).
+    The phases of that (H + 1, W + 1) output are cropped and interleaved."""
+    (bsz, c_low, h, wd), (bs, _, hs, ws) = low.shape, skip.shape
+    if (bs, hs, ws) != (bsz, 2 * h, 2 * wd):
+        raise ValueError(f"skip map {skip.shape} is not twice the low-resolution map "
+                         f"{low.shape}")
+    phases = conv2d(low, _phase_kernels(w, c_low), Tensor(np.zeros(4 * w.shape[0])))
+    return _add_phases(conv2d(skip, w[:, c_low:], b), phases)
+
+
+@lru_cache(maxsize=64)
+def _coord_channels(h: int, w: int) -> np.ndarray:
+    """The net's two coordinate channels for an h x w map, rows and columns
+    from -1 to 1: (2, h, w), built once per map size and read-only."""
+    rr, cc = np.meshgrid(np.linspace(-1.0, 1.0, h), np.linspace(-1.0, 1.0, w), indexing="ij")
+    coords = np.stack([rr, cc])
+    coords.flags.writeable = False
+    return coords
+
+
 class GoalNet:
     """Two-down / two-up convnet with skip connections; logistic pixel outputs.
 
@@ -120,15 +196,12 @@ class GoalNet:
     def forward_t(self, x: Tensor) -> Tensor:
         """(B, C_in, H, W) -> logits (B, t_f, H, W)."""
         b, _, h, w = x.data.shape
-        rr, cc = np.meshgrid(np.linspace(-1.0, 1.0, h), np.linspace(-1.0, 1.0, w),
-                             indexing="ij")
-        coords = np.broadcast_to(np.stack([rr, cc]), (b, 2, h, w))
-        x = concat([x, Tensor(coords)], axis=1)
+        x = concat([x, Tensor(np.broadcast_to(_coord_channels(h, w), (b, 2, h, w)))], axis=1)
         e1 = conv2d(x, *self.enc1).relu()
         e2 = conv2d(e1, *self.enc2, stride=2).relu()
         e3 = conv2d(e2, *self.enc3, stride=2).relu()
-        d2 = conv2d(concat([upsample2x(e3), e2], axis=1), *self.dec2).relu()
-        d1 = conv2d(concat([upsample2x(d2), e1], axis=1), *self.dec1).relu()
+        d2 = upsample_conv(e3, e2, *self.dec2).relu()
+        d1 = upsample_conv(d2, e1, *self.dec1).relu()
         return conv2d(d1, *self.out)
 
     def parameters(self) -> dict:
@@ -143,7 +216,8 @@ class GoalNet:
 def predict_heatmaps(hist_maps: np.ndarray, sem_channels: np.ndarray, net: GoalNet) -> Tensor:
     """Goal-net logits (B, t_f, H, W) of (B, t_h, H, W) history maps. The one
     place the net's input is laid out: history maps, then the (C, H, W)
-    semantic channels broadcast over the batch."""
+    semantic channels broadcast over the batch; `GoalNet.forward_t` appends
+    its two coordinate channels after them."""
     sem_b = np.broadcast_to(sem_channels, (len(hist_maps),) + sem_channels.shape)
     x = np.concatenate([hist_maps, sem_b], axis=1)
     if x.shape[1] != net.in_channels:

@@ -63,6 +63,10 @@ class ModelConfig:
 
 class PredictionModel:
     def __init__(self, cfg: ModelConfig, grid: GridSpec):
+        # the goal net halves each side twice and then doubles it twice
+        if grid.H % 4 or grid.W % 4:
+            raise ValueError(f"grid {grid.H}x{grid.W}: the goal net needs both sides to be "
+                             f"multiples of 4")
         self.cfg = cfg
         self.grid = grid
         rng = np.random.default_rng(cfg.init_seed)

@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff core and the layers built on it.
 
 Everything runs on float64 numpy arrays. The Tensor class records a tape of
-elementary ops; Parameter marks trainable leaves. Layers (Dense, LSTMCell,
-conv2d) compose Tensor ops, so their gradients come from the same tape and
-can all be checked against finite differences.
+elementary ops; Parameter marks trainable leaves. Layers (Dense, LSTMCell)
+compose Tensor ops, so their gradients come from the same tape and can all be
+checked against finite differences. conv2d and `lstm` (LSTMCell's recurrence
+over a whole sequence) are single ops with closed-form gradients.
 
 Each op records one edge `(parent, grad_fn)` per input, where `grad_fn(g)`
 returns that input's gradient given the output's. A tensor keeps only edges
@@ -364,6 +365,66 @@ class LSTMCell:
 
     def parameters(self):
         return {"wx": self.wx, "wh": self.wh, "b": self.b}
+
+
+def lstm(x: np.ndarray, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """The final hidden state (B, hidden) of `LSTMCell`'s recurrence over the T
+    rows of (B, T, n_in) data, from zero state, as one op on `wx`, `wh` and `b`.
+
+    The forward is the cell's arithmetic in plain numpy, so it matches the
+    cell's chain bit for bit. When a gradient is wanted it keeps each step's
+    gate activations and states; under `no_grad` it keeps none. The backward
+    is one BPTT pass: the first parameter edge that `backward` reaches runs it
+    and hands the other parameters their gradients, each step's contribution
+    summed latest step first, as the chain's tape sums them."""
+    x = np.asarray(x, dtype=np.float64)
+    bsz, steps, _ = x.shape
+    nh = wh.data.shape[0]
+    params = {"wx": wx, "wh": wh, "b": b}
+    keep = _recording and any(_needs_grad(p) for p in params.values())
+    h, c = np.zeros((bsz, nh)), np.zeros((bsz, nh))
+    saved = []  # per step: (h_prev, c_prev, activations [i f o g], tanh(c_new))
+    for t in range(steps):
+        act = x[:, t] @ wx.data + h @ wh.data + b.data
+        act[:, :3 * nh] = 1.0 / (1.0 + np.exp(-act[:, :3 * nh]))
+        act[:, 3 * nh:] = np.tanh(act[:, 3 * nh:])
+        i, f, o, g = (act[:, k * nh:(k + 1) * nh] for k in range(4))
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        if keep:
+            saved.append((h, c, act, tc))
+        h, c = o * tc, c_new
+
+    handoff = {}
+
+    def bptt(g):
+        dwx, dwh, db = np.zeros(wx.data.shape), np.zeros(wh.data.shape), np.zeros(b.data.shape)
+        dh, dc = g, None
+        for t in reversed(range(steps)):
+            h_prev, c_prev, act, tc = saved[t]
+            i, f, o, gg = (act[:, k * nh:(k + 1) * nh] for k in range(4))
+            dct = dh * o * (1.0 - tc ** 2)
+            dc = dct if dc is None else dct + dc
+            dgates = np.empty(act.shape)
+            dgates[:, :nh] = dc * gg * i * (1.0 - i)
+            dgates[:, nh:2 * nh] = dc * c_prev * f * (1.0 - f)
+            dgates[:, 2 * nh:3 * nh] = dh * tc * o * (1.0 - o)
+            dgates[:, 3 * nh:] = dc * i * (1.0 - gg ** 2)
+            dwx = dwx + x[:, t].T @ dgates
+            dwh = dwh + h_prev.T @ dgates
+            db = db + dgates.sum(axis=0)
+            dh, dc = dgates @ wh.data.T, dc * f
+        return {"wx": dwx, "wh": dwh, "b": db}
+
+    def grad_of(name):
+        def grad_fn(g):
+            if not handoff:  # the first edge of this backward
+                grads = bptt(g)
+                handoff.update((k, grads[k]) for k, p in params.items() if _needs_grad(p))
+            return handoff.pop(name)
+        return grad_fn
+
+    return Tensor(h, tuple((p, grad_of(name)) for name, p in params.items()))
 
 
 class StepEmbedding:

@@ -385,6 +385,16 @@ class TestBadInputFiles:
         err = self.one_line_error(capsys)
         assert "semantic.grid" in err and "tracks.txt" not in err
 
+    def test_grid_side_not_multiple_of_4_names_the_grid(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        assert run(data_dir, "synth-data", "--set", "synthetic.grid_size=30") == 0
+        capsys.readouterr()
+        assert run(tmp_path / "run", "train", "--set", f"data.dataset_dir={data_dir}") \
+            == EXIT_CHECKPOINT
+        err = self.one_line_error(capsys)
+        assert err.startswith(f"bad input file: {data_dir / 'semantic.grid'}: grid 30x30: ")
+        assert not (tmp_path / "run" / "checkpoint.npz").exists()
+
     def test_no_training_window_names_tracks(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
         write_dataset(data_dir, {1: (0, (2.0, 8.0), (0.3, 0.0))})

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rel_error, upsample_conv_reference
+from trajlab import goal
 from trajlab.cli import InputFileError, _read
 from trajlab.goal import (GoalNet, GridSpec, SemanticGrid, TTSTConfig, _kmeans,
                           argmax_goals, load_semantic_grid, predict_heatmaps, rasterize_points,
-                          save_semantic_grid, select_goals)
+                          save_semantic_grid, select_goals, upsample_conv)
+from trajlab.nncore import Parameter, Tensor
 
 
 @pytest.fixture
@@ -165,6 +168,57 @@ class TestGoalNet:
         net = GoalNet(in_channels=5, t_f=2, base=4, rng=rng)
         with pytest.raises(ValueError, match="expects 5 input channels, got 3"):
             predict_heatmaps(np.zeros((1, 2, 16, 16)), np.ones((1, 16, 16)), net)
+
+
+class TestUpsampleConv:
+    # (B, c_low, c_skip, c_out, H, W) of the low-resolution map
+    @pytest.mark.parametrize("shape", [(1, 3, 2, 5, 3, 4), (3, 4, 7, 2, 2, 5), (1, 16, 8, 8, 6, 6),
+                                       (3, 1, 1, 3, 1, 1), (3, 16, 16, 16, 6, 3)])
+    def test_matches_reference_value_and_gradients(self, shape):
+        bsz, c_low, c_skip, c_out, h, w = shape
+        rng = np.random.default_rng(sum(shape))
+        arrays = (rng.standard_normal((bsz, c_low, h, w)),
+                  rng.standard_normal((bsz, c_skip, 2 * h, 2 * w)),
+                  rng.standard_normal((c_out, c_low + c_skip, 3, 3)), rng.standard_normal(c_out))
+        g = rng.standard_normal((bsz, c_out, 2 * h, 2 * w))
+        runs = []
+        for layer in (upsample_conv_reference, upsample_conv):
+            params = [Parameter(a) for a in arrays]
+            out = layer(*params)
+            out.backward(g)
+            runs.append([out.data] + [p.grad for p in params])
+        for name, ref, ours in zip(("value", "low", "skip", "w", "b"), *runs):
+            assert ours.shape == ref.shape and rel_error(ours, ref) < 1e-12, name
+
+    def test_skip_not_twice_low_rejected(self, rng):
+        low, skip = Tensor(np.zeros((1, 2, 3, 4))), Tensor(np.zeros((1, 1, 6, 7)))
+        w, b = Tensor(np.zeros((2, 3, 3, 3))), Tensor(np.zeros(2))
+        with pytest.raises(ValueError, match=re.escape("(1, 1, 6, 7) is not twice the "
+                                                       "low-resolution map (1, 2, 3, 4)")):
+            upsample_conv(low, skip, w, b)
+
+    def test_gradients_follow_each_backward(self, rng):
+        arrays = (rng.standard_normal((2, 3, 2, 3)), rng.standard_normal((2, 2, 4, 6)),
+                  rng.standard_normal((4, 5, 3, 3)), rng.standard_normal(4))
+        g1, g2 = rng.standard_normal((2, 2, 4, 4, 6))
+        grads = []
+        for seeds in ([g1], [g2], [g1, g2]):
+            params = [Parameter(a) for a in arrays]
+            out = upsample_conv(*params)
+            for g in seeds:
+                out.backward(g)
+            grads.append([p.grad for p in params])
+        for one, two, both in zip(*grads):
+            assert np.allclose(both, one + two, rtol=1e-13, atol=1e-13)
+
+    def test_goal_net_decodes_at_low_resolution(self, rng, monkeypatch):
+        # two convolutions a decoder layer, eight in all (upsampling first would make six)
+        calls = []
+        monkeypatch.setattr(goal, "conv2d", lambda *a, f=goal.conv2d, **k: calls.append(1)
+                            or f(*a, **k))
+        net = GoalNet(in_channels=3, t_f=2, base=4, rng=rng)
+        predict_heatmaps(np.zeros((1, 2, 16, 12)), np.ones((1, 16, 12)), net)
+        assert len(calls) == 8
 
 
 def kmeans_init_reference(points, k, rng):

@@ -36,6 +36,14 @@ class TestModelConfig:
         assert np.all(np.isfinite(m)) and m.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("h, w", [(30, 24), (24, 30)])
+def test_grid_side_not_multiple_of_4_rejected(h, w):
+    # the goal net halves each side twice and doubles it twice; at 30 the skip
+    # maps (15) and the upsampled ones (16) would not line up
+    with pytest.raises(ValueError, match=f"grid {h}x{w}: .*multiples of 4"):
+        PredictionModel(ModelConfig(), GridSpec(h, w, (0.5, 0.5), 1.0))
+
+
 class TestCheckpoint:
     def test_save_load_round_trip(self, setup, tmp_path):
         model, _, _ = setup

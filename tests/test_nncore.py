@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import finite_difference, rel_error
+from conftest import finite_difference, lstm_chain, rel_error
 from trajlab import nncore
 from trajlab.nncore import (Adam, Dense, LSTMCell, NonFiniteError, Parameter,
                             StepEmbedding, Tensor, adam_update, concat, conv2d,
-                            load_checkpoint, save_checkpoint, upsample2x)
+                            load_checkpoint, lstm, save_checkpoint, upsample2x)
 from trajlab.train import goal_loss
 
 
@@ -360,6 +360,61 @@ class TestLayers:
     def test_step_embedding_odd_dim_rejected(self):
         with pytest.raises(ValueError):
             StepEmbedding(7)
+
+
+class TestLSTMOp:
+    @pytest.mark.parametrize("bsz, steps, hidden", [(32, 8, 64), (1, 1, 4), (1, 6, 3),
+                                                    (5, 1, 7), (3, 12, 16)])
+    def test_matches_cell_chain_bitwise(self, bsz, steps, hidden):
+        rng = np.random.default_rng(bsz * 100 + steps * 10 + hidden)
+        cell = LSTMCell(8, hidden, rng)
+        x = 2.0 * rng.standard_normal((bsz, steps, 8))
+        g = rng.standard_normal((bsz, hidden))
+        runs = []
+        for run in (lstm_chain, lstm):
+            for p in (cell.wx, cell.wh, cell.b):
+                p.grad[...] = 0.0
+            h = run(x, cell.wx, cell.wh, cell.b)
+            h.backward(g)
+            runs.append([h.data.tobytes()] + [p.grad.tobytes()
+                                              for p in (cell.wx, cell.wh, cell.b)])
+        for name, chain, op in zip(("h", "wx", "wh", "b"), *runs):
+            assert op == chain, name
+
+    def test_no_grad_matches_chain_and_keeps_no_steps(self, rng):
+        cell = LSTMCell(8, 32, rng)
+        x = rng.standard_normal((16, 40, 8))
+        with nncore.no_grad():
+            ref = lstm_chain(x, cell.wx, cell.wh, cell.b)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                h = lstm(x, cell.wx, cell.wh, cell.b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert h.data.tobytes() == ref.data.tobytes() and h._edges == ()
+        gates = 16 * 4 * 32 * 8  # bytes of one step's gate activations
+        assert peak < 8 * gates, peak / gates  # 40 steps kept would be > 40 * gates
+
+    @pytest.mark.parametrize("leaves", [(Parameter, Parameter, Parameter),
+                                        (Tensor, Parameter, Parameter),
+                                        (Parameter, Tensor, Tensor)])
+    def test_gradients_follow_each_backward(self, rng, leaves):
+        # the BPTT pass one edge runs and hands to the others belongs to one
+        # backward: a second backward with another seed adds exactly its own
+        cell = LSTMCell(8, 5, rng)
+        x = rng.standard_normal((3, 4, 8))
+        g1, g2 = rng.standard_normal((2, 3, 5))
+        grads = []
+        for seeds in ([g1], [g2], [g1, g2]):
+            params = [leaf(p.data) for leaf, p in zip(leaves, (cell.wx, cell.wh, cell.b))]
+            h = lstm(x, *params)
+            for g in seeds:
+                h.backward(g)
+            grads.append([p.grad for p in params if isinstance(p, Parameter)])
+        for one, two, both in zip(*grads):
+            assert np.allclose(both, one + two, rtol=1e-13, atol=1e-13)
 
 
 class TestAdam:

@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from trajlab import condition, goal
 from trajlab.data import TrajectoryWindow
 from trajlab.goal import GridSpec, SemanticGrid, argmax_goals
 from trajlab.model import ModelConfig, PredictionModel, default_schedule
-from conftest import finite_difference, rel_error
+from conftest import finite_difference, lstm_chain, rel_error, upsample_conv_reference
 from trajlab.nncore import Parameter, Tensor
 from trajlab.sampler import NoiseStream, SamplerConfig
 from trajlab.schedule import make_linear_schedule
@@ -223,11 +228,70 @@ class TestTrainer:
         one, three = peak(4), peak(12)
         assert three < 1.3 * one, (one, three)
 
+    def test_step_peak_below_reference_layers(self, monkeypatch):
+        # one B=32 step of a default-sized model: the one-op LSTM and the
+        # low-resolution decoder hold at most 0.85 of the traced peak of the
+        # same step on the LSTMCell chain and upsample-concat-convolve layers
+        def peak():
+            trainer, windows = b32_trainer()
+            trainer.train_epoch(windows)  # warm: lazily built caches
+            tracemalloc.start()
+            try:
+                losses = trainer.train_epoch(windows)
+                return tracemalloc.get_traced_memory()[1], losses
+            finally:
+                tracemalloc.stop()
+
+        ours, losses = peak()
+        monkeypatch.setattr(condition, "lstm", lstm_chain)
+        monkeypatch.setattr(goal, "upsample_conv", upsample_conv_reference)
+        ref, ref_losses = peak()
+        assert losses["l_goal"] == pytest.approx(ref_losses["l_goal"], rel=1e-12)
+        assert losses["l_traj"] == pytest.approx(ref_losses["l_traj"], rel=1e-12)
+        assert ours <= 0.85 * ref, ours / ref
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc")
+    def test_steps_keep_their_memory_mapped(self):
+        # a fresh process: after two warm steps, a B=32 step of a default-sized
+        # model mostly reuses the memory the previous step freed instead of
+        # faulting pages in again (2000-3500 minor faults a step with glibc's
+        # default thresholds; a step now and then still grows the heap)
+        script = ("import resource, statistics; from test_train import b32_trainer\n"
+                  "trainer, windows = b32_trainer()\n"
+                  "faults = []\n"
+                  "for _ in range(8):\n"
+                  "    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                  "    trainer.train_epoch(windows)\n"
+                  "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n"
+                  "print(statistics.median(faults[2:]))\n")
+        here = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < 200
+
     def test_student_forcing_path_runs(self):
         model, sem, sched, trainer = tiny_setup(teacher_forcing=False, epochs=2)
         hist = trainer.fit(tiny_windows(8))
         assert len(hist) == 2
         assert all(np.isfinite(h["l_total"]) for h in hist)
+
+
+def b32_trainer():
+    """A Trainer for a default-sized model on a 24x24 grid, and 32 windows
+    that make one batch."""
+    grid = GridSpec(24, 24, (0.5, 0.5), 1.0)
+    rng = np.random.default_rng(0)
+    windows = []
+    for i in range(32):
+        step = rng.uniform(0.3, 0.6, size=2)
+        path = rng.uniform(4.0, 8.0, size=2) + np.arange(20)[:, None] * step
+        windows.append(TrajectoryWindow("s", i, path[:8], path[8:], 0))
+    sem = SemanticGrid(grid, rng.uniform(size=(2, 24, 24)))
+    model = PredictionModel(ModelConfig(sigma_px=1.5), grid)
+    return Trainer(model, sem, make_linear_schedule(100), TrainConfig(seed=0)), windows
 
 
 def tiny_batch(n=4):
