@@ -38,7 +38,7 @@ from .evaluation import (bench_samplers, best_of_n, predict_windows, read_predic
                          write_bench_csv, write_predictions_json)
 from .goal import TTSTConfig, load_semantic_grid, save_semantic_grid
 from .model import ModelConfig, PredictionModel, default_schedule
-from .sampler import SamplerConfig, total_evals
+from .sampler import SamplerConfig, branch_step_count, total_evals
 from .train import TrainConfig, Trainer
 
 EXIT_CONFIG = 2
@@ -51,8 +51,7 @@ CONFIG_SECTIONS = {
     "sampler": (SamplerConfig, {"K": "schedule.K"}),
     "model": (ModelConfig, {"sem_channels": None, "init_seed": "run.seed"}),
     "train": (TrainConfig, {"seed": "run.seed"}),
-    "synthetic": (SyntheticSceneConfig, dict.fromkeys(
-        ("start_x", "start_y", "arrive_radius", "obstacles", "max_frames"))),
+    "synthetic": (SyntheticSceneConfig, {"obstacles": None}),
 }
 INI_KEYS = {"lam": "lambda"}  # a field whose INI key is not its name
 
@@ -82,7 +81,7 @@ DEFAULTS: dict[str, dict[str, object]] = {
     "train": {**_class_defaults("train"), "val_fraction": 0.1, "max_seconds": 0.0},
     "data": {"dataset_dir": "", "stride": 4},
     "synthetic": {"n_agents": 2000, **_class_defaults("synthetic")},
-    "eval": {"ttst": True, "n_ttst": 1000, "max_windows": 64,
+    "eval": {"ttst": True, "n_ttst": TTSTConfig.n_samples, "max_windows": 64,
              "trunk_steps": "5,20,50", "repeats": 1,
              "checkpoint": "", "predictions": ""},
 }
@@ -170,7 +169,10 @@ def _check_values(cfg: dict) -> None:
             if section == "schedule":
                 default_schedule(**cfg["schedule"])
             elif section == "sampler":
-                total_evals(cfg["sampler"]["rule"], _build(cfg, "sampler"))  # checks the rule
+                sampler = _build(cfg, "sampler")
+                total_evals(cfg["sampler"]["rule"], sampler)  # checks the rule
+                if cfg["sampler"]["rule"] == "ts":
+                    _check_branch_steps(sampler)
             else:
                 _build(cfg, section)
         except ValueError as e:
@@ -187,6 +189,13 @@ def _check_values(cfg: dict) -> None:
             raise ConfigError(f"[{section}] {key} must be >= 1, got {cfg[section][key]}")
     if cfg["eval"]["ttst"] and cfg["eval"]["n_ttst"] < cfg["sampler"]["N"]:
         raise ConfigError(f"[eval] n_ttst must be >= sampler.N, got {cfg['eval']['n_ttst']}")
+
+
+def _check_branch_steps(sampler: SamplerConfig) -> None:
+    """Tree sampling needs at least one branch step after its K_t trunk steps."""
+    if branch_step_count(sampler.K, sampler.K_I, sampler.K_t) < 1:
+        raise ValueError(f"K_t={sampler.K_t} leaves no branch step: floor((1 - K_t/K) * K_I) "
+                         f"is 0 for K={sampler.K}, K_I={sampler.K_I}")
 
 
 def write_snapshot(cfg: dict, path) -> None:
@@ -231,12 +240,15 @@ def _load_dataset(cfg: dict):
 
 
 def _split(windows, cfg: dict):
-    rng = np.random.default_rng(cfg["run"]["seed"])
-    order = rng.permutation(len(windows))
-    n_val = max(1, int(len(windows) * cfg["train"]["val_fraction"]))
-    val_idx = set(order[:n_val].tolist())
-    train = [w for i, w in enumerate(windows) if i not in val_idx]
-    val = [w for i, w in enumerate(windows) if i in val_idx]
+    """(train, validation) windows, split by track: a `val_fraction` share of the
+    tracks that have windows, at least one, drawn with run.seed, is held out whole,
+    so that no validation window shares frames or an agent with a training window."""
+    tracks = sorted({(w.scene_id, w.agent_id) for w in windows})
+    order = np.random.default_rng(cfg["run"]["seed"]).permutation(len(tracks))
+    n_val = max(1, int(len(tracks) * cfg["train"]["val_fraction"]))
+    held = {tracks[i] for i in order[:n_val]}
+    train = [w for w in windows if (w.scene_id, w.agent_id) not in held]
+    val = [w for w in windows if (w.scene_id, w.agent_id) in held]
     return train, val
 
 
@@ -264,25 +276,26 @@ def cmd_train(cfg: dict, out: Path) -> None:
         model = PredictionModel(model_cfg, sem.grid)
     except ValueError as e:  # a grid the goal net cannot take
         raise InputFileError(f"{Path(cfg['data']['dataset_dir']) / 'semantic.grid'}: {e}") from e
-    trainer = Trainer(model, sem, default_schedule(**cfg["schedule"]), _build(cfg, "train"))
+    schedule = default_schedule(**cfg["schedule"])
+    trainer = Trainer(model, sem, schedule, _build(cfg, "train"))
     history = trainer.fit(train_set, log_path=out / "metrics.csv",
                           max_seconds=cfg["train"]["max_seconds"])
-    model.save(out / "checkpoint.npz")
+    model.save(out / "checkpoint.npz", schedule)
     print(f"trained {len(history)} epochs on {len(train_set)} windows; "
           f"final l_total={history[-1]['l_total']:.4f}")
 
 
 def _prediction_setup(cfg: dict, out: Path):
-    """Validation windows, semantic grid, model and TTST config for predict and
-    bench. The checkpoint must load and fit the dataset and config before any
-    window runs."""
+    """Validation windows, semantic grid, model, schedule and TTST config for
+    predict and bench. The checkpoint must load and fit the dataset and config,
+    its schedule included, before any window runs."""
     windows, sem = _load_dataset(cfg)
     _, val = _split(windows, cfg)
     if not val:
         raise InputFileError(f"{Path(cfg['data']['dataset_dir']) / 'tracks.txt'}: no validation "
                              f"window: {len(windows)} windows in all")
     path = cfg["eval"]["checkpoint"] or str(out / "checkpoint.npz")
-    model = _read(path, PredictionModel.load, CheckpointError)
+    model, trained = _read(path, PredictionModel.load, CheckpointError)
     grid_path = Path(cfg["data"]["dataset_dir"]) / "semantic.grid"
     fits = (("grid", model.grid, sem.grid, grid_path),
             ("goal-net input channels", model.goal_net.in_channels,
@@ -291,15 +304,22 @@ def _prediction_setup(cfg: dict, out: Path):
     for name, ours, theirs, source in fits:
         if ours != theirs:
             raise CheckpointError(f"{path}: {name} {ours} does not match {theirs} from {source}")
+    schedule = default_schedule(**cfg["schedule"])
+    if not np.array_equal(trained.betas, schedule.betas):  # the denoiser learned `trained`
+        raise CheckpointError(f"{path}: schedule {_schedule_text(trained)} does not match "
+                              f"{_schedule_text(schedule)} from [schedule]")
     ttst = TTSTConfig(cfg["eval"]["n_ttst"]) if cfg["eval"]["ttst"] else None
-    return val[:cfg["eval"]["max_windows"]], sem, model, ttst
+    return val[:cfg["eval"]["max_windows"]], sem, model, schedule, ttst
+
+
+def _schedule_text(s) -> str:
+    return f"(K={s.K}, betas {float(s.betas[0])!r} to {float(s.betas[-1])!r})"
 
 
 def cmd_predict(cfg: dict, out: Path) -> None:
-    val, sem, model, ttst = _prediction_setup(cfg, out)
-    predictions = predict_windows(model, val, sem, default_schedule(**cfg["schedule"]),
-                                  _build(cfg, "sampler"), cfg["run"]["seed"],
-                                  cfg["sampler"]["rule"], ttst)
+    val, sem, model, schedule, ttst = _prediction_setup(cfg, out)
+    predictions = predict_windows(model, val, sem, schedule, _build(cfg, "sampler"),
+                                  cfg["run"]["seed"], cfg["sampler"]["rule"], ttst)
     records = [{"scene": w.scene_id, "agent": w.agent_id, "frame_base": w.frame_base,
                 "predictions": preds, "gt": w.future} for w, preds in predictions]
     write_predictions_json(out / "predictions.json", records)
@@ -327,14 +347,14 @@ def cmd_bench(cfg: dict, out: Path) -> None:
     # not checked on load: only bench reads trunk_steps, and "5,20,50" needs K >= 50
     sampler_cfg = _build(cfg, "sampler")
     try:
-        trunk_steps = tuple(replace(sampler_cfg, K_t=int(v)).K_t  # checks 0 <= K_t <= K
-                            for v in cfg["eval"]["trunk_steps"].split(","))
+        trunk_steps = tuple(int(v) for v in cfg["eval"]["trunk_steps"].split(","))
+        for k_t in trunk_steps:
+            _check_branch_steps(replace(sampler_cfg, K_t=k_t))  # replace checks 0 <= K_t <= K
     except ValueError as e:
         raise ConfigError(f"[eval] trunk_steps: {e}") from e
-    val, sem, model, ttst = _prediction_setup(cfg, out)
-    rows = bench_samplers(model, val, sem, default_schedule(**cfg["schedule"]), sampler_cfg,
-                          trunk_steps=trunk_steps, seed=cfg["run"]["seed"],
-                          ttst=ttst, repeats=cfg["eval"]["repeats"])
+    val, sem, model, schedule, ttst = _prediction_setup(cfg, out)
+    rows = bench_samplers(model, val, sem, schedule, sampler_cfg, trunk_steps=trunk_steps,
+                          seed=cfg["run"]["seed"], repeats=cfg["eval"]["repeats"], ttst=ttst)
     write_bench_csv(out / "bench.csv", rows)
     for row in rows:
         print(row.as_csv())

@@ -41,9 +41,7 @@ def augment_batch(X: np.ndarray, g: np.ndarray) -> np.ndarray:
 class SequenceEncoder:
     """LSTM over the augmented rows; final hidden state projected to d_f."""
 
-    def __init__(self, hidden: int = 64, d_f: int = 64,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, hidden: int, d_f: int, rng: np.random.Generator):
         self.cell = LSTMCell(8, hidden, rng)
         self.proj = Dense(hidden, d_f, rng)
 

@@ -110,14 +110,14 @@ def _track_windows(tracks: list[Track], t_h: int, t_f: int,
     return out
 
 
-def make_windows(tracks: list[Track], t_h: int = 8, t_f: int = 12,
-                 stride: int = 1) -> list[TrajectoryWindow]:
+def make_windows(tracks: list[Track], t_h: int, t_f: int,
+                 stride: int) -> list[TrajectoryWindow]:
     """Slide a (t_h + t_f) window over every contiguous track segment.
     `frame_base` is the frame id of the window's first history frame."""
     return [w for windows in _track_windows(tracks, t_h, t_f, stride) for w in windows]
 
 
-def tail_windows(tracks: list[Track], t_h: int = 8, t_f: int = 12) -> list[TrajectoryWindow]:
+def tail_windows(tracks: list[Track], t_h: int, t_f: int) -> list[TrajectoryWindow]:
     """The last window of each long-enough track (future ends where the track
     does). For goal-directed tracks this makes the future endpoint the goal."""
     return [windows[-1] for windows in _track_windows(tracks, t_h, t_f, 1) if windows]
@@ -136,19 +136,21 @@ def leave_one_scene_out(windows: list[TrajectoryWindow], test_scene: str):
 # -- synthetic scenes --
 
 
+START_X = (0.8, 2.0)  # an agent starts uniformly in this x band and y band, meters
+START_Y = (2.0, 14.0)
+ARRIVE_RADIUS = 0.4  # an agent stops this close to its anchor, meters
+MAX_FRAMES = 120  # or after this many steps
+
+
 @dataclass
 class SyntheticSceneConfig:
     extent: float = 16.0  # square world, meters
     grid_size: int = 32
     anchors: tuple = ((14.0, 3.0), (14.0, 8.0), (14.0, 13.0))
-    start_x: tuple[float, float] = (0.8, 2.0)
-    start_y: tuple[float, float] = (2.0, 14.0)
     speed_mean: float = 0.55  # meters per frame
     speed_std: float = 0.05
     heading_noise: float = 0.06  # radians per frame
-    arrive_radius: float = 0.4
     obstacles: tuple = ()  # (x0, y0, x1, y1) rectangles, meters
-    max_frames: int = 120
 
     def __post_init__(self):
         if len(self.anchors) < 1:
@@ -200,12 +202,12 @@ def generate_synthetic(cfg: SyntheticSceneConfig, n_agents: int,
     tracks = []
     for agent in range(n_agents):
         anchor = anchors[rng.integers(len(anchors))]
-        pos = np.array([rng.uniform(*cfg.start_x), rng.uniform(*cfg.start_y)])
+        pos = np.array([rng.uniform(*START_X), rng.uniform(*START_Y)])
         pts = [pos.copy()]
-        for _ in range(cfg.max_frames):
+        for _ in range(MAX_FRAMES):
             to_goal = anchor - pos
             dist = np.linalg.norm(to_goal)
-            if dist < cfg.arrive_radius:
+            if dist < ARRIVE_RADIUS:
                 break
             heading = np.arctan2(to_goal[1], to_goal[0]) + rng.normal(0.0, cfg.heading_noise)
             speed = min(max(rng.normal(cfg.speed_mean, cfg.speed_std), 0.05), dist)

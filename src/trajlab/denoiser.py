@@ -16,10 +16,8 @@ from .nncore import Dense, StepEmbedding, Tensor, concat
 
 
 class NoisePredictor:
-    def __init__(self, t_f: int = 12, d_f: int = 64, width: int = 64,
-                 embed_dim: int = 32, blocks: int = 3,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, t_f: int, d_f: int, width: int, embed_dim: int, blocks: int,
+                 rng: np.random.Generator):
         self.t_f = t_f
         self.embed = StepEmbedding(embed_dim)
         self.inp = Dense(t_f * 2 + embed_dim + d_f, width, rng)
@@ -31,8 +29,6 @@ class NoisePredictor:
         """Graph forward: steps (B,), trajectories (B, t_f*2), features Tensor (B, d_f).
 
         `f` stays in the graph so encoder parameters receive gradients."""
-        if not isinstance(f, Tensor):
-            f = Tensor(f)
         x = concat([Tensor(y_flat), Tensor(self.embed(k)), f], axis=1)
         h = self.inp(x).tanh()
         for d1, d2 in self.res:

@@ -99,10 +99,8 @@ def _run_config(model: PredictionModel, windows, sem: SemanticGrid,
 
 
 def bench_samplers(model: PredictionModel, windows, sem: SemanticGrid,
-                   schedule: NoiseSchedule, base_cfg: SamplerConfig,
-                   trunk_steps=(5, 20, 50), seed: int = 0,
-                   ttst: TTSTConfig | None = None,
-                   repeats: int = 1) -> list[BenchRow]:
+                   schedule: NoiseSchedule, base_cfg: SamplerConfig, trunk_steps,
+                   seed: int, repeats: int, ttst: TTSTConfig | None = None) -> list[BenchRow]:
     """One row per sampler configuration: DDPM, DDIM, d-DDPM, TS per K_t.
 
     Per-window wall time is the median over `repeats` passes after one

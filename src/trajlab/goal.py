@@ -176,9 +176,7 @@ class GoalNet:
     Two normalized coordinate channels are appended internally so the net can
     express absolute position preferences (goal anchors are scene-fixed)."""
 
-    def __init__(self, in_channels: int, t_f: int = 12, base: int = 8,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, in_channels: int, t_f: int, base: int, rng: np.random.Generator):
         self.in_channels = in_channels
 
         def conv_params(cin, cout):
@@ -278,14 +276,12 @@ def _kmeans(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) ->
 
 
 def select_goals(goal_map: np.ndarray, grid: GridSpec, N: int,
-                 ttst: TTSTConfig | None = None,
-                 rng: np.random.Generator | None = None) -> GoalSet:
+                 ttst: TTSTConfig | None = None, *, rng: np.random.Generator) -> GoalSet:
     """Common goal = the map's `argmax_goals` point; diverse
     goals = N categorical pixel samples, or cluster centers of an oversampled
     draw when the test-time trick is enabled."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    rng = rng if rng is not None else np.random.default_rng(0)
     goal_map = np.asarray(goal_map, dtype=np.float64)
     total = goal_map.sum()
     if total <= 0:

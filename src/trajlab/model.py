@@ -7,7 +7,8 @@ input in both phases. `condition` moves histories and goals to the agent
 frame (origin `history[-1]`), where diffusion runs too; predictions are shifted
 back. The encoder knows no sampler kinds: `condition_features` tags them.
 A checkpoint stores each `ModelConfig` field as a `cfg.*` number; `load` gives
-it its field's type and rejects a non-integral value for an integer.
+it its field's type and rejects a non-integral value for an integer. It also
+stores the betas of the schedule the denoiser was trained under.
 """
 
 from __future__ import annotations
@@ -82,19 +83,28 @@ class PredictionModel:
 
     # -- checkpointing --
 
-    def save(self, path) -> None:
+    def save(self, path, schedule: NoiseSchedule) -> None:
+        """Parameters, config and grid, and `schedule`, the trainer's."""
         arrays = {name: p.data for name, p in self.parameters().items()}
         for field_name, value in vars(self.cfg).items():
             arrays[f"cfg.{field_name}"] = np.asarray(value, dtype=np.float64)
         arrays["grid.spec"] = np.array([self.grid.H, self.grid.W, self.grid.origin[0],
                                         self.grid.origin[1], self.grid.resolution])
+        arrays["schedule.betas"] = schedule.betas
         nncore.save_checkpoint(path, arrays)
 
     @classmethod
-    def load(cls, path) -> "PredictionModel":
-        """Rebuild a saved model. A missing, wrong-shaped or non-finite entry,
-        or a non-integral value for an integer, is a ValueError naming it."""
+    def load(cls, path) -> tuple["PredictionModel", NoiseSchedule]:
+        """Rebuild a saved model and its training schedule. A missing,
+        wrong-shaped or non-finite entry, or a non-integral value for an
+        integer, is a ValueError naming it."""
         arrays = nncore.load_checkpoint(path)
+        if "schedule.betas" not in arrays:
+            raise ValueError("checkpoint missing 'schedule.betas'")
+        try:
+            schedule = NoiseSchedule(arrays["schedule.betas"])
+        except ValueError as e:
+            raise ValueError(f"checkpoint 'schedule.betas': {e}") from None
         meta = {}
         for key in [f"cfg.{f.name}" for f in fields(ModelConfig)] + ["grid.spec"]:
             if key not in arrays:
@@ -119,7 +129,7 @@ class PredictionModel:
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"checkpoint parameter {name!r} is not finite")
             p.data = value
-        return model
+        return model, schedule
 
     # -- inference --
 
@@ -150,11 +160,11 @@ class PredictionModel:
     def predict_window(self, history: np.ndarray, sem: SemanticGrid,
                        sampler_cfg: SamplerConfig, schedule: NoiseSchedule,
                        rng: NoiseStream, goal_rng: np.random.Generator,
-                       rule: str = "ts", ttst: TTSTConfig | None = None) -> np.ndarray:
+                       rule: str, ttst: TTSTConfig | None = None) -> np.ndarray:
         """Full pipeline for one window; returns (N, t_f, 2) world-frame paths."""
         with nncore.no_grad():  # the goal net and the encoder build no graph
             goal_map = self.goal_logits(history[None], sem)[0, -1].sigmoid().data
-            goals = select_goals(goal_map, self.grid, sampler_cfg.N, ttst, goal_rng)
+            goals = select_goals(goal_map, self.grid, sampler_cfg.N, ttst, rng=goal_rng)
             f_common, f_diverse = self.condition_features(history, goals)
         denoise = self.denoiser.predict_noise
         if rule == "ts":

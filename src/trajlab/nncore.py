@@ -467,7 +467,7 @@ def adam_update(value, grad, m, v, step, lr, beta1=0.9, beta2=0.999, eps_opt=1e-
 
 
 class Adam:
-    def __init__(self, params: dict[str, Parameter], lr: float = 1e-3):
+    def __init__(self, params: dict[str, Parameter], lr: float):
         self.params = params
         self.lr = lr
         self.t = 0

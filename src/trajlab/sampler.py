@@ -104,11 +104,8 @@ def step_coefficients(s: NoiseSchedule, k_hi: int, k_lo: int,
 
 
 def branch_step_count(K: int, K_I: int, K_t: int) -> int:
-    """Number of branch-stage steps: floor((1 - K_t/K) * K_I)."""
-    if not 0 <= K_t <= K:
-        raise ValueError("need 0 <= K_t <= K")
-    if K_I < 1:
-        raise ValueError("K_I must be >= 1")
+    """Number of branch-stage steps: floor((1 - K_t/K) * K_I). `SamplerConfig`
+    bounds K_t and K_I."""
     return (K - K_t) * K_I // K
 
 
@@ -120,10 +117,7 @@ def ddim_subsequence(K: int, K_t: int, K_b: int) -> list[tuple[int, int]]:
     if K_b > top:
         raise ValueError(f"K_b={K_b} exceeds available steps {top}")
     idx = np.rint(np.linspace(top, 0, K_b + 1)).astype(int)
-    pairs = [(int(idx[i]), int(idx[i + 1])) for i in range(K_b)]
-    if any(hi <= lo for hi, lo in pairs):
-        raise ValueError("sub-sequence not strictly decreasing")
-    return pairs
+    return [(int(idx[i]), int(idx[i + 1])) for i in range(K_b)]
 
 
 def _unit_pairs(K: int, n_steps: int) -> list[tuple[int, int]]:

@@ -21,7 +21,7 @@ class NoiseSchedule:
         betas = np.asarray(self.betas, dtype=np.float64)
         if betas.ndim != 1 or betas.size < 1:
             raise ValueError("betas must be a non-empty 1-D array")
-        if np.any(betas <= 0.0) or np.any(betas >= 1.0):
+        if not np.all((betas > 0.0) & (betas < 1.0)):  # NaN fails too
             raise ValueError("betas must lie in (0, 1)")
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "alpha_bars", np.cumprod(1.0 - betas))

@@ -363,10 +363,11 @@ def desk_run():
     scene = SyntheticSceneConfig(grid_size=24)
     tracks, sem, anchors = generate_synthetic(scene, N_AGENTS,
                                               np.random.default_rng(DATA_SEED))
-    windows = tail_windows(tracks)
+    model_cfg = ModelConfig(sigma_px=1.5, init_seed=0)
+    windows = tail_windows(tracks, model_cfg.t_h, model_cfg.t_f)
     train_w, val_w = windows[:-N_VAL], windows[-N_VAL:]
     grid = scene.grid_spec()
-    model = PredictionModel(ModelConfig(sigma_px=1.5, init_seed=0), grid)
+    model = PredictionModel(model_cfg, grid)
     schedule = default_schedule()
     trainer = Trainer(model, sem, schedule,
                       TrainConfig(epochs=EPOCHS, lr=2e-3, lr_decay=0.97,
@@ -475,7 +476,7 @@ def test_criterion_10_data_pipeline_contracts(tmp_path):
     for scene in ("a", "b", "c"):
         windows += make_windows(
             [Track(scene, 0, np.arange(22),
-                   np.stack([np.arange(22.0), np.zeros(22)], axis=1))], 8, 12)
+                   np.stack([np.arange(22.0), np.zeros(22)], axis=1))], 8, 12, 1)
     train, test = leave_one_scene_out(windows, "b")
     ids = lambda ws: {(w.scene_id, w.agent_id, w.frame_base) for w in ws}
     partition = (len(train) + len(test) == len(windows)

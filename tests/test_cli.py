@@ -12,8 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import trajlab
-from trajlab.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_MISSING,
-                         ConfigError, load_config, main, write_snapshot)
+from trajlab.cli import (EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_MISSING, ConfigError, _load_dataset,
+                         _split, load_config, main, write_snapshot)
+from trajlab.data import SyntheticSceneConfig, generate_synthetic, make_windows
 from trajlab.goal import GridSpec, SemanticGrid, save_semantic_grid
 
 SMALL = [
@@ -161,6 +162,10 @@ class TestConfig:
         assert {section: set(kv) for section, kv in load_config(None).items()} \
             == {section: set(parser[section]) for section in parser.sections()}
 
+    def test_no_branch_step_is_valid_off_the_tree_sampler(self):
+        # K_t sets the tree sampler's trunk only; the other rules never read it
+        assert load_config(None, ["sampler.K_t=96", "sampler.rule=ddim"])["sampler"]["K_t"] == 96
+
     @pytest.mark.parametrize("max_seconds", ["0", "inf"])
     def test_max_seconds_zero_and_inf_are_valid(self, max_seconds):
         # 0 means no limit
@@ -175,6 +180,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("override, key", [
         ("sampler.K_t=500", "K_t"),
+        ("sampler.K_t=96", "K_t"),  # floor((1 - 96/100) * 20) = 0 branch steps
         ("sampler.rule=euler", "euler"),
         ("train.val_fraction=1", "val_fraction"),
         ("data.stride=0", "stride"),
@@ -188,6 +194,7 @@ class TestExitCodes:
         ("eval.max_windows=-2", "max_windows"),
         ("eval.repeats=0", "repeats"),
         ("eval.trunk_steps=50 schedule.K=30", "trunk_steps"),
+        ("eval.trunk_steps=5,100", "trunk_steps"),
         ("synthetic.n_agents=0", "n_agents"),
         ("synthetic.extent=-1", "extent"),
         ("synthetic.speed_std=-1", "speed_std"),
@@ -491,6 +498,34 @@ class TestBadInputFiles:
             assert "semantic.grid" in err
             assert not any(out.glob("*.json")) and not any(out.glob("*.csv"))
 
+    def test_checkpoint_must_fit_the_schedule(self, pipeline, tmp_path, capsys):
+        # train stored the betas of schedule.K=10 with the default endpoints
+        _, data_dir, run_dir = pipeline
+        ckpt = run_dir / "checkpoint.npz"
+        np.testing.assert_array_equal(np.load(ckpt)["schedule.betas"], np.linspace(1e-4, 0.05, 10))
+        for command in ("predict", "bench"):
+            out = tmp_path / command
+            assert run(out, command, "--set", f"data.dataset_dir={data_dir}",
+                       "--set", f"eval.checkpoint={ckpt}", "--set", "eval.trunk_steps=2",
+                       "--set", "schedule.beta_end=0.2") == EXIT_CHECKPOINT
+            err = capsys.readouterr().err.strip()
+            assert len(err.splitlines()) == 1
+            assert err.startswith(f"bad checkpoint: {ckpt}: schedule ") and "[schedule]" in err
+            assert not any(out.glob("*.json")) and not any(out.glob("*.csv"))
+
+    def test_checkpoint_without_schedule_names_the_key(self, pipeline, tmp_path, capsys):
+        _, data_dir, run_dir = pipeline
+        ckpt = tmp_path / "checkpoint.npz"
+        arrays = dict(np.load(run_dir / "checkpoint.npz"))
+        del arrays["schedule.betas"]
+        np.savez(ckpt, **arrays)
+        for command in ("predict", "bench"):
+            assert run(tmp_path / "run", command, "--set", f"data.dataset_dir={data_dir}",
+                       "--set", f"eval.checkpoint={ckpt}", "--set", "eval.trunk_steps=2") \
+                == EXIT_CHECKPOINT
+            err = capsys.readouterr().err.strip()
+            assert err == f"bad checkpoint: {ckpt}: checkpoint missing 'schedule.betas'"
+
     @pytest.mark.parametrize("name, damage", [("tracks.txt", "not-utf-8"),
                                               ("tracks.txt", "directory"),
                                               ("semantic.grid", "directory"),
@@ -599,6 +634,81 @@ def test_fuzzed_input_file_exits_with_a_documented_code(tmp_path, capsys, name, 
     err = capsys.readouterr().err
     assert code in (0, EXIT_CONFIG, EXIT_MISSING, EXIT_CHECKPOINT)
     assert len(err.splitlines()) <= 1 and "Traceback" not in err
+
+
+class TestSplit:
+    @pytest.fixture(scope="class")
+    def windows(self):
+        tracks, _, _ = generate_synthetic(SyntheticSceneConfig(), 300, np.random.default_rng(0))
+        return make_windows(tracks, 8, 12, 4)
+
+    @staticmethod
+    def agents(windows) -> set:
+        return {(w.scene_id, w.agent_id) for w in windows}
+
+    @pytest.mark.parametrize("val_fraction, n_val", [(0.1, None), (0.5, None), (0.0, 1)])
+    def test_validation_holds_out_whole_tracks(self, windows, val_fraction, n_val):
+        train, val = _split(windows, load_config(None, [f"train.val_fraction={val_fraction}"]))
+        assert self.agents(train).isdisjoint(self.agents(val))
+        assert len(train) + len(val) == len(windows)
+        assert self.agents(train) | self.agents(val) == self.agents(windows)
+        # a share of the tracks that have windows, at least one
+        assert len(self.agents(val)) == (n_val or int(len(self.agents(windows)) * val_fraction))
+
+    def test_seeded_by_run_seed(self, windows):
+        val = {seed: self.agents(_split(windows, load_config(None, [f"run.seed={seed}"]))[1])
+               for seed in (0, 1)}
+        assert val[0] == self.agents(_split(windows, load_config(None))[1])
+        assert val[0] != val[1]
+
+
+def write_eth_ucy_dataset(data_dir) -> dict:
+    """A tracks.txt in the public ETH/UCY layout: tab-separated, float frame
+    and agent ids (`780.0`), frame step 10, rows in frame order. Agents enter
+    late and leave early, two in three miss two frames mid-track, and one is
+    too short for a window. Returns {agent: the frames the file holds}."""
+    data_dir.mkdir()
+    rng = np.random.default_rng(11)
+    rows, frames_of = [], {}
+    for agent in range(1, 15):
+        first = 780 + 10 * int(rng.integers(0, 40))
+        n = 12 if agent == 14 else int(rng.integers(42, 56))
+        steps = np.arange(n)
+        if agent % 3:  # a gap
+            steps = np.delete(steps, [n // 2, n // 2 + 1])
+        start = rng.uniform((1.0, 2.0), (3.0, 14.0))
+        velocity = rng.uniform((0.15, -0.05), (0.2, 0.05))  # meters per frame step
+        for i in steps:
+            x, y = start + velocity * i
+            rows.append((first + 10 * i, agent, x, y))
+        frames_of[agent] = set((first + 10 * steps).tolist())
+    (data_dir / "tracks.txt").write_text("".join(
+        f"{frame:.1f}\t{agent:.1f}\t{x:.4f}\t{y:.4f}\n" for frame, agent, x, y in sorted(rows)))
+    save_semantic_grid(data_dir / "semantic.grid",
+                       SemanticGrid(GridSpec(16, 16, (0.5, 0.5), 1.0), np.ones((1, 16, 16))))
+    return frames_of
+
+
+def test_eth_ucy_shaped_dataset_end_to_end(tmp_path):
+    data_dir, out = tmp_path / "data", tmp_path / "run"
+    frames_of = write_eth_ucy_dataset(data_dir)
+    sets = ["--set", f"data.dataset_dir={data_dir}", "--set", "data.stride=1",
+            "--set", "train.val_fraction=0.25", "--set", "eval.max_windows=1000"]
+    for command in ("train", "predict", "eval"):
+        assert run(out, command, *sets) == 0
+    records = json.loads((out / "predictions.json").read_text())
+    for r in records:
+        # the window's 20 frames are frames of this agent, 10 apart: it starts on
+        # one of them and spans no gap
+        span = r["frame_base"] + 10 * np.arange(20)
+        assert set(span.tolist()) <= frames_of[r["agent"]], r["agent"]
+    cfg = load_config(str(out / "resolved.ini"))
+    train, val = _split(_load_dataset(cfg)[0], cfg)
+    assert {r["agent"] for r in records} == {w.agent_id for w in val}
+    assert {w.agent_id for w in val}.isdisjoint(w.agent_id for w in train)
+    gaps = {agent for agent, frames in frames_of.items()
+            if max(frames) - min(frames) >= 10 * len(frames)}
+    assert gaps & {w.agent_id for w in val}  # a held-out track has a gap
 
 
 @pytest.fixture(scope="module")

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from trajlab.data import (SyntheticSceneConfig, Track,
+from trajlab.data import (ARRIVE_RADIUS, SyntheticSceneConfig, Track,
                           generate_synthetic, leave_one_scene_out,
                           make_semantic_grid, make_windows,
                           parse_trajectory_file, tail_windows,
@@ -94,16 +94,16 @@ class TestWindows:
         assert all(w.history.shape == (8, 2) and w.future.shape == (12, 2) for w in ws)
 
     def test_l19_too_short(self):
-        assert make_windows([straight_track(19)], 8, 12) == []
+        assert make_windows([straight_track(19)], 8, 12, 1) == []
 
     def test_l20_exactly_one(self):
-        assert len(make_windows([straight_track(20)], 8, 12)) == 1
+        assert len(make_windows([straight_track(20)], 8, 12, 1)) == 1
 
     def test_stride_five(self):
         assert len(make_windows([straight_track(40)], 8, 12, stride=5)) == 5
 
     def test_history_future_contiguous(self):
-        (w,) = make_windows([straight_track(20)], 8, 12)
+        (w,) = make_windows([straight_track(20)], 8, 12, 1)
         np.testing.assert_allclose(w.history[:, 0], np.arange(8))
         np.testing.assert_allclose(w.future[:, 0], np.arange(8, 20))
 
@@ -112,7 +112,7 @@ class TestWindows:
         frames = np.concatenate([np.arange(15), np.arange(100, 115)])
         xy = np.zeros((30, 2))
         xy[:, 0] = np.arange(30)
-        ws = make_windows([Track("s", 0, frames, xy)], 8, 7)
+        ws = make_windows([Track("s", 0, frames, xy)], 8, 7, 1)
         assert len(ws) == 2
         for w in ws:
             assert np.max(np.abs(np.diff(np.concatenate([w.history, w.future])[:, 0]))) == 1.0
@@ -132,19 +132,20 @@ class TestWindows:
         # every step, so no window of it may span frames 0-380
         sparse = straight_track(20, agent=1, frame_step=20)
         dense = straight_track(30, agent=2, frame_step=10)
-        ws = make_windows([sparse, dense], 8, 12)
+        ws = make_windows([sparse, dense], 8, 12, 1)
         assert {w.agent_id for w in ws} == {2}
         assert [w.agent_id for w in tail_windows([sparse, dense], 8, 12)] == [2]
-        assert len(make_windows([sparse], 8, 12)) == 1  # alone, it sets its scene's step
-        assert make_windows([sparse, straight_track(30, 2, 10, scene="t")], 8, 12)[0].agent_id == 1
+        assert len(make_windows([sparse], 8, 12, 1)) == 1  # alone, it sets its scene's step
+        other = straight_track(30, 2, 10, scene="t")
+        assert make_windows([sparse, other], 8, 12, 1)[0].agent_id == 1
 
     def test_subsampled_frames_accepted(self):
-        ws = make_windows([straight_track(20, frame_step=10)], 8, 12)
+        ws = make_windows([straight_track(20, frame_step=10)], 8, 12, 1)
         assert len(ws) == 1
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            make_windows([], t_h=0)
+            make_windows([], t_h=0, t_f=12, stride=1)
 
     def test_tail_window_ends_at_track_end(self):
         track = straight_track(33)
@@ -166,16 +167,16 @@ class TestWindows:
 
 class TestPartition:
     def test_leave_one_scene_out_partitions(self):
-        ws = (make_windows([straight_track(20, scene="a")], 8, 12)
-              + make_windows([straight_track(25, scene="b")], 8, 12)
-              + make_windows([straight_track(21, scene="c")], 8, 12))
+        ws = (make_windows([straight_track(20, scene="a")], 8, 12, 1)
+              + make_windows([straight_track(25, scene="b")], 8, 12, 1)
+              + make_windows([straight_track(21, scene="c")], 8, 12, 1))
         train, test = leave_one_scene_out(ws, "b")
         assert len(train) + len(test) == len(ws)
         assert {w.scene_id for w in test} == {"b"}
         assert "b" not in {w.scene_id for w in train}
 
     def test_unknown_scene_rejected(self):
-        ws = make_windows([straight_track(20, scene="a")], 8, 12)
+        ws = make_windows([straight_track(20, scene="a")], 8, 12, 1)
         with pytest.raises(ValueError):
             leave_one_scene_out(ws, "zzz")
 
@@ -193,7 +194,7 @@ class TestSynthetic:
         tracks, _, anchors = generate_synthetic(cfg, 30, np.random.default_rng(0))
         for t in tracks:
             d = np.min(np.linalg.norm(anchors - t.xy[-1], axis=1))
-            assert d < cfg.arrive_radius + cfg.speed_mean + 3 * cfg.speed_std
+            assert d < ARRIVE_RADIUS + cfg.speed_mean + 3 * cfg.speed_std
 
     def test_anchor_choice_roughly_uniform(self):
         cfg = SyntheticSceneConfig()
@@ -208,7 +209,7 @@ class TestSynthetic:
     def test_tracks_long_enough_for_windows(self):
         cfg = SyntheticSceneConfig()
         tracks, _, _ = generate_synthetic(cfg, 50, np.random.default_rng(2))
-        assert sum(len(tail_windows([t])) for t in tracks) >= 45
+        assert sum(len(tail_windows([t], 8, 12)) for t in tracks) >= 45
 
     def test_obstacles_avoided(self):
         cfg = SyntheticSceneConfig(obstacles=((6.0, 4.0, 8.0, 12.0),))

@@ -103,7 +103,8 @@ class TestBench:
     def test_rows_and_exact_eval_counts(self, setup):
         model, sem, sched, windows = setup
         base = SamplerConfig(K=20, K_I=5, K_t=0, N=4)
-        rows = bench_samplers(model, windows, sem, sched, base, trunk_steps=(4, 8))
+        rows = bench_samplers(model, windows, sem, sched, base, trunk_steps=(4, 8), seed=0,
+                              repeats=1)
         assert [r.sampler for r in rows] == ["ddpm", "ddim", "d_ddpm", "ts", "ts"]
         for r in rows:
             assert r.evals == total_evals(r.sampler, r.cfg)
@@ -115,7 +116,7 @@ class TestBench:
         # later patch of the class method sees this model's calls
         model, sem, sched, windows = setup
         bench_samplers(model, windows, sem, sched, SamplerConfig(K=20, K_I=5, N=2),
-                       trunk_steps=(4,))
+                       trunk_steps=(4,), seed=0, repeats=1)
         assert "predict_noise" not in vars(model.denoiser)
 
     def test_csv_layout(self, setup, tmp_path):

@@ -328,7 +328,7 @@ class TestSelectGoals:
     def test_matches_per_draw_reference(self, grid, rng, ttst):
         for seed in range(5):
             m = rng.uniform(size=(16, 16)) ** 4
-            gs = select_goals(m, grid, 6, ttst, np.random.default_rng(seed))
+            gs = select_goals(m, grid, 6, ttst, rng=np.random.default_rng(seed))
             common, diverse = select_goals_reference(m, grid, 6, ttst,
                                                      np.random.default_rng(seed))
             assert gs.common.tobytes() == common.tobytes()
@@ -382,11 +382,12 @@ class TestSelectGoals:
 
     def test_ttst_undersized_rejected(self, grid):
         with pytest.raises(ValueError):
-            select_goals(np.ones((16, 16)), grid, 10, ttst=TTSTConfig(n_samples=5))
+            select_goals(np.ones((16, 16)), grid, 10, ttst=TTSTConfig(n_samples=5),
+                         rng=np.random.default_rng(0))
 
     def test_zero_goals_rejected(self, grid):
         with pytest.raises(ValueError, match="N must be >= 1"):
-            select_goals(np.ones((16, 16)), grid, 0)
+            select_goals(np.ones((16, 16)), grid, 0, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("kwargs, field", [({"n_samples": 0}, "n_samples"),
                                                ({"kmeans_iters": -3}, "kmeans_iters")])
@@ -396,7 +397,7 @@ class TestSelectGoals:
 
     def test_zero_map_rejected(self, grid):
         with pytest.raises(ValueError):
-            select_goals(np.zeros((16, 16)), grid, 3)
+            select_goals(np.zeros((16, 16)), grid, 3, rng=np.random.default_rng(0))
 
 
 class TestGridFile:

@@ -48,8 +48,8 @@ class TestCheckpoint:
     def test_save_load_round_trip(self, setup, tmp_path):
         model, _, _ = setup
         path = tmp_path / "model.npz"
-        model.save(path)
-        back = PredictionModel.load(path)
+        model.save(path, default_schedule(10))
+        back, _ = PredictionModel.load(path)
         assert back.cfg == model.cfg
         assert back.grid == model.grid
         for name, p in model.parameters().items():
@@ -58,20 +58,20 @@ class TestCheckpoint:
     def test_loaded_model_predicts_identically(self, setup, tmp_path):
         model, sem, history = setup
         path = tmp_path / "model.npz"
-        model.save(path)
-        back = PredictionModel.load(path)
+        model.save(path, default_schedule(10))
+        back, _ = PredictionModel.load(path)
         scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3)
         sched = default_schedule(10)
         a = model.predict_window(history, sem, scfg, sched, NoiseStream(1),
-                                 np.random.default_rng(1))
+                                 np.random.default_rng(1), rule="ts")
         b = back.predict_window(history, sem, scfg, sched, NoiseStream(1),
-                                np.random.default_rng(1))
+                                np.random.default_rng(1), rule="ts")
         assert np.array_equal(a, b)
 
     def test_shape_mismatch_rejected(self, setup, tmp_path):
         model, _, _ = setup
         path = tmp_path / "model.npz"
-        model.save(path)
+        model.save(path, default_schedule(10))
         other_cfg = ModelConfig(**{**vars(model.cfg), "denoiser_width": 16})
         # widen one module, then overwrite its stored config so load() builds
         # the wider net but finds the narrow arrays
@@ -85,7 +85,7 @@ class TestCheckpoint:
     def test_missing_config_key_rejected(self, setup, tmp_path):
         model, _, _ = setup
         path = tmp_path / "model.npz"
-        model.save(path)
+        model.save(path, default_schedule(10))
         import trajlab.nncore as nncore
         arrays = nncore.load_checkpoint(path)
         del arrays["cfg.t_h"]
@@ -97,22 +97,23 @@ class TestCheckpoint:
         # checkpoints written while the agent frame was a knob carry cfg.agent_centric
         model, _, _ = setup
         path = tmp_path / "model.npz"
-        model.save(path)
+        model.save(path, default_schedule(10))
         import trajlab.nncore as nncore
         arrays = nncore.load_checkpoint(path)
         arrays["cfg.agent_centric"] = np.asarray(1.0)
         nncore.save_checkpoint(path, arrays)
-        assert PredictionModel.load(path).cfg == model.cfg
+        assert PredictionModel.load(path)[0].cfg == model.cfg
 
     @pytest.mark.parametrize("key, value", [
         ("grid.spec", np.zeros(3)), ("grid.spec", np.array([16, 16, 0.5, np.nan, 1.0])),
         ("cfg.t_h", np.array([8.0, 8.0])), ("cfg.t_h", np.array(np.inf)),
         # an integer is not truncated: the model's grid is 12 x 12
-        ("cfg.init_seed", np.array(-0.5)), ("grid.spec", np.array([12.7, 12, 0.5, 0.5, 1.0]))])
+        ("cfg.init_seed", np.array(-0.5)), ("grid.spec", np.array([12.7, 12, 0.5, 0.5, 1.0])),
+        ("schedule.betas", np.zeros((2, 5))), ("schedule.betas", np.array([1e-4, np.nan]))])
     def test_malformed_entry_rejected(self, setup, tmp_path, key, value):
         model, _, _ = setup
         path = tmp_path / "model.npz"
-        model.save(path)
+        model.save(path, default_schedule(10))
         import trajlab.nncore as nncore
         arrays = nncore.load_checkpoint(path)
         arrays[key] = value
@@ -139,9 +140,9 @@ class TestPredictWindow:
         scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=4)
         sched = default_schedule(10)
         a = model.predict_window(history, sem, scfg, sched, NoiseStream(3),
-                                 np.random.default_rng(3))
+                                 np.random.default_rng(3), rule="ts")
         b = model.predict_window(history, sem, scfg, sched, NoiseStream(3),
-                                 np.random.default_rng(3))
+                                 np.random.default_rng(3), rule="ts")
         assert a.shape == (4, 3, 2)
         assert np.array_equal(a, b)
         assert np.all(np.isfinite(a))
@@ -162,10 +163,10 @@ class TestPredictWindow:
         scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3)
         sched = default_schedule(10)
         base = model.predict_window(history, sem, scfg, sched, NoiseStream(5),
-                                    np.random.default_rng(5))
+                                    np.random.default_rng(5), rule="ts")
         shift = np.array([1.0, -2.0])
         moved = model.predict_window(history + shift, sem, scfg, sched,
-                                     NoiseStream(5), np.random.default_rng(5))
+                                     NoiseStream(5), np.random.default_rng(5), rule="ts")
         # goal selection reads the heat-map, which moves with the history only
         # approximately; compare relative displacement of the mean endpoints
         assert np.allclose(moved.mean(axis=(0, 1)) - base.mean(axis=(0, 1)),
@@ -177,7 +178,7 @@ class TestPredictWindow:
         scfg = SamplerConfig(K=10, K_I=5, K_t=2, N=3)
         with pytest.raises(ValueError, match="does not match the model's grid"):
             model.predict_window(history, sem, scfg, default_schedule(10), NoiseStream(0),
-                                 np.random.default_rng(0))
+                                 np.random.default_rng(0), rule="ts")
 
     def test_history_outside_grid_rejected(self, setup):
         model, sem, history = setup
@@ -185,4 +186,4 @@ class TestPredictWindow:
         outside = history + np.array([8.0, 0.0])  # x = 10, 11, 12, 13 on a 12 m grid
         with pytest.raises(ValueError, match=r"position 3 \[13\.0, 6\.0\] outside grid"):
             model.predict_window(outside, sem, scfg, default_schedule(10), NoiseStream(0),
-                                 np.random.default_rng(0))
+                                 np.random.default_rng(0), rule="ts")

@@ -458,7 +458,7 @@ class TestAdam:
 
     def test_nonfinite_gradient_raises(self):
         p = Parameter(np.array([1.0]))
-        opt = Adam({"p": p})
+        opt = Adam({"p": p}, lr=1e-3)
         p.grad[...] = np.nan
         with pytest.raises(NonFiniteError):
             opt.step()

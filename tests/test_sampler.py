@@ -246,6 +246,16 @@ class TestStepCounts:
         with pytest.raises(ValueError):
             ddim_subsequence(10, 5, 6)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(top=st.integers(1, 400), K_t=st.integers(0, 100), data=st.data())
+    def test_subsequence_strictly_decreasing_from_top_to_zero(self, top, K_t, data):
+        # every K_b in [1, top] gives K_b chained jumps, each to a lower index
+        K_b = data.draw(st.integers(1, top))
+        pairs = ddim_subsequence(top + K_t, K_t, K_b)
+        assert len(pairs) == K_b and pairs[0][0] == top and pairs[-1][1] == 0
+        assert all(hi > lo for hi, lo in pairs)
+        assert all(a[1] == b[0] for a, b in zip(pairs, pairs[1:]))
+
 
 class _CountingStub:
     """Deterministic stub denoiser keyed by (k, conditioning id)."""

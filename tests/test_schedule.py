@@ -51,6 +51,8 @@ def test_invalid_construction():
         make_linear_schedule(10, 0.05, 1e-4)
     with pytest.raises(ValueError):
         make_linear_schedule(10, 1e-4, 1.0)
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):  # a checkpoint's betas come from a file
+        NoiseSchedule(np.array([0.1, np.nan]))
 
 
 def test_posterior_variance_first_step_zero():

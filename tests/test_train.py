@@ -207,7 +207,7 @@ class TestTrainer:
         outside = windows[0].history + np.array([20.0, 0.0])
         with pytest.raises(ValueError, match="outside grid"):
             model.predict_window(outside, sem, SamplerConfig(K=10, K_I=5, K_t=2, N=3),
-                                 sched, NoiseStream(0), np.random.default_rng(0))
+                                 sched, NoiseStream(0), np.random.default_rng(0), rule="ts")
         assert trainer.train_epoch(windows) == ref
         for name, p in model.parameters().items():
             assert p.data.tobytes() == ref_model.parameters()[name].data.tobytes(), name
