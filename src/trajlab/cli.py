@@ -320,10 +320,8 @@ def cmd_predict(cfg: dict, out: Path) -> None:
     val, sem, model, schedule, ttst = _prediction_setup(cfg, out)
     predictions = predict_windows(model, val, sem, schedule, _build(cfg, "sampler"),
                                   cfg["run"]["seed"], cfg["sampler"]["rule"], ttst)
-    records = [{"scene": w.scene_id, "agent": w.agent_id, "frame_base": w.frame_base,
-                "predictions": preds, "gt": w.future} for w, preds in predictions]
-    write_predictions_json(out / "predictions.json", records)
-    print(f"wrote {len(records)} prediction records to {out / 'predictions.json'}")
+    n = write_predictions_json(out / "predictions.json", predictions)
+    print(f"wrote {n} prediction records to {out / 'predictions.json'}")
 
 
 def cmd_eval(cfg: dict, out: Path) -> None:

@@ -6,6 +6,7 @@ blocks. `forward_t` builds the autodiff graph for training; `predict_noise`
 is the matching plain-numpy path on one row, used inside sampling loops, where
 per-call overhead dominates: it reads each step's embedding from a cache and
 leaves the finiteness check to the sampler, which makes it once per step.
+`rows` counts the rows `predict_noise` has evaluated; the sampler bench reads it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ class NoisePredictor:
     def __init__(self, t_f: int, d_f: int, width: int, embed_dim: int, blocks: int,
                  rng: np.random.Generator):
         self.t_f = t_f
+        self.rows = 0
         self.embed = StepEmbedding(embed_dim)
         self.inp = Dense(t_f * 2 + embed_dim + d_f, width, rng)
         self.res = [(Dense(width, width, rng), Dense(width, width, rng))
@@ -38,6 +40,7 @@ class NoisePredictor:
     def predict_noise(self, k: int, Yk: np.ndarray, f) -> np.ndarray:
         """Fast evaluation path on one (t_f, 2) row; `f` is a ConditionFeature or
         a raw vector. The sampler checks its output for non-finite values."""
+        self.rows += 1
         vec = getattr(f, "vector", f)
         x = np.concatenate([np.asarray(Yk).ravel(), self.embed.step(k), np.asarray(vec)])
         h = np.tanh(np.dot(x, self.inp.w.data) + self.inp.b.data)

@@ -41,18 +41,6 @@ def best_of_n(preds: np.ndarray, gt: np.ndarray) -> tuple[float, float]:
     return (min(ade(t, gt) for t in trajs), min(fde(t, gt) for t in trajs))
 
 
-class CountingDenoiser:
-    """Wraps a denoiser callable and counts evaluations."""
-
-    def __init__(self, denoiser):
-        self._denoiser = denoiser
-        self.count = 0
-
-    def __call__(self, k, y, f):
-        self.count += 1
-        return self._denoiser(k, y, f)
-
-
 @dataclass
 class BenchRow:
     sampler: str
@@ -71,30 +59,31 @@ class BenchRow:
 def predict_windows(model: PredictionModel, windows, sem: SemanticGrid,
                     schedule: NoiseSchedule, cfg: SamplerConfig, seed: int,
                     rule: str, ttst: TTSTConfig | None):
-    """Yield (window, (N, t_f, 2) predictions) in order; window i draws its
-    noise and its goals from seed + i."""
+    """Yield (window, (N, t_f, 2) predictions) in order. Window i draws its noise
+    from `NoiseStream(seed).fork(i)` (its chains from that stream's forks) and its
+    goals from `default_rng([seed, i, 1])`: every generator of a run, the CLI's
+    `default_rng(seed)` split included, starts from its own state."""
+    noise = NoiseStream(seed)
     for i, w in enumerate(windows):
-        yield w, model.predict_window(w.history, sem, cfg, schedule, NoiseStream(seed + i),
-                                      np.random.default_rng(seed + i), rule=rule, ttst=ttst)
+        yield w, model.predict_window(w.history, sem, cfg, schedule, noise.fork(i),
+                                      np.random.default_rng([seed, i, 1]), rule=rule,
+                                      ttst=ttst)
 
 
 def _run_config(model: PredictionModel, windows, sem: SemanticGrid,
                 schedule: NoiseSchedule, rule: str, cfg: SamplerConfig,
                 seed: int, ttst: TTSTConfig | None):
-    """One (rule, config) pass over all windows; returns (ade, fde, evals, ms)."""
-    counter = CountingDenoiser(model.denoiser.predict_noise)
-    model.denoiser.predict_noise = counter  # intercept for eval counting
-    try:
-        ades, fdes = [], []
-        start = time.perf_counter()
-        for w, preds in predict_windows(model, windows, sem, schedule, cfg, seed, rule, ttst):
-            a, f_ = best_of_n(preds, w.future)
-            ades.append(a)
-            fdes.append(f_)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0 / max(len(windows), 1)
-    finally:
-        del model.denoiser.predict_noise  # the class method shows through again
-    per_window = counter.count // max(len(windows), 1)
+    """One (rule, config) pass over all windows; returns (ade, fde, evals, ms),
+    evals being the denoiser rows per window."""
+    rows_before = model.denoiser.rows
+    ades, fdes = [], []
+    start = time.perf_counter()
+    for w, preds in predict_windows(model, windows, sem, schedule, cfg, seed, rule, ttst):
+        a, f_ = best_of_n(preds, w.future)
+        ades.append(a)
+        fdes.append(f_)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0 / max(len(windows), 1)
+    per_window = (model.denoiser.rows - rows_before) // max(len(windows), 1)
     return float(np.mean(ades)), float(np.mean(fdes)), per_window, elapsed_ms
 
 
@@ -131,18 +120,16 @@ def write_bench_csv(path, rows: list[BenchRow]) -> None:
             f.write(row.as_csv() + "\n")
 
 
-def write_predictions_json(path, records: list[dict]) -> None:
-    """records: [{scene, agent, frame_base, predictions (N,t_f,2), gt (t_f,2)}]."""
-    payload = []
-    for r in records:
-        payload.append({
-            "scene": r["scene"], "agent": int(r["agent"]),
-            "frame_base": int(r["frame_base"]),
-            "predictions": np.asarray(r["predictions"]).tolist(),
-            "gt": np.asarray(r["gt"]).tolist(),
-        })
+def write_predictions_json(path, predictions) -> int:
+    """Write the (window, (N, t_f, 2) predictions) pairs that `predict_windows`
+    yields as records {scene, agent, frame_base, predictions, gt (t_f, 2)};
+    returns the number of records."""
+    payload = [{"scene": w.scene_id, "agent": int(w.agent_id), "frame_base": int(w.frame_base),
+                "predictions": np.asarray(preds).tolist(), "gt": np.asarray(w.future).tolist()}
+               for w, preds in predictions]
     with open(path, "w") as f:
         json.dump(payload, f)
+    return len(payload)
 
 
 def read_predictions_json(path) -> list[dict]:

@@ -72,12 +72,6 @@ class SemanticGrid:
             raise ValueError("semantic grid needs at least one channel")
 
 
-@dataclass
-class GoalSet:
-    diverse: np.ndarray  # (N, 2) world coords
-    common: np.ndarray  # (2,) world coords
-
-
 def rasterize_points(points: np.ndarray, grid: GridSpec, sigma_px: float) -> np.ndarray:
     """Isotropic Gaussians on (..., 2) world points at pixel centers: (..., H, W),
     each of sum 1: the outer product of a row and a column factor of sum 1 each, so
@@ -276,10 +270,10 @@ def _kmeans(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) ->
 
 
 def select_goals(goal_map: np.ndarray, grid: GridSpec, N: int,
-                 ttst: TTSTConfig | None = None, *, rng: np.random.Generator) -> GoalSet:
-    """Common goal = the map's `argmax_goals` point; diverse
-    goals = N categorical pixel samples, or cluster centers of an oversampled
-    draw when the test-time trick is enabled."""
+                 ttst: TTSTConfig | None = None, *, rng: np.random.Generator) -> np.ndarray:
+    """(N + 1, 2) world goals: row 0 is the common goal, the map's `argmax_goals`
+    point; rows 1.. are the N diverse goals, categorical pixel samples, or cluster
+    centers of an oversampled draw when the test-time trick is enabled."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     goal_map = np.asarray(goal_map, dtype=np.float64)
@@ -300,7 +294,7 @@ def select_goals(goal_map: np.ndarray, grid: GridSpec, N: int,
         diverse = _kmeans(pts, N, ttst.kmeans_iters, rng)
     else:
         diverse = pts[:N]
-    return GoalSet(diverse=diverse, common=common)
+    return np.vstack([common, diverse])
 
 
 # -- semantic grid file format --

@@ -150,11 +150,10 @@ class PredictionModel:
         origin = histories[:, -1]
         return self.encoder.encode(augment_batch(histories - origin[:, None], goals - origin))
 
-    def condition_features(self, history: np.ndarray, goals) -> tuple:
-        """The common feature and the N diverse features of one history, in one
-        encoder batch (common goal first)."""
-        points = np.vstack([goals.common, goals.diverse])
-        f = self.condition(np.broadcast_to(history, (len(points),) + history.shape), points).data
+    def condition_features(self, history: np.ndarray, goals: np.ndarray) -> tuple:
+        """The common feature and the N diverse features of one history and its
+        (N + 1, 2) goals (common goal first), in one encoder batch."""
+        f = self.condition(np.broadcast_to(history, (len(goals),) + history.shape), goals).data
         return ConditionFeature(f[0], "common"), [ConditionFeature(v, "diverse") for v in f[1:]]
 
     def predict_window(self, history: np.ndarray, sem: SemanticGrid,

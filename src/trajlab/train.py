@@ -158,7 +158,8 @@ class Trainer:
         """Train `cfg.epochs` epochs, or stop after the first epoch that ends more
         than `max_seconds` after the start; None or 0 means no limit."""
         history = []
-        log = open(log_path, "w") if log_path else None
+        # line-buffered: each epoch's row reaches the file as the epoch ends
+        log = open(log_path, "w", buffering=1) if log_path else None
         if log:
             log.write("epoch,l_goal,l_traj,l_total,lr\n")
         start_time = time.monotonic()

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import trajlab.model
+from trajlab.cli import _split
 from trajlab.data import TrajectoryWindow
 from trajlab.evaluation import (BENCH_HEADER, BenchRow, ade, bench_samplers, best_of_n, fde,
-                                read_predictions_json, write_bench_csv,
+                                predict_windows, read_predictions_json, write_bench_csv,
                                 write_predictions_json)
-from trajlab.goal import GridSpec, SemanticGrid
+from trajlab.goal import GridSpec, SemanticGrid, TTSTConfig
 from trajlab.model import ModelConfig, PredictionModel
-from trajlab.sampler import SamplerConfig, total_evals
+from trajlab.sampler import NoiseStream, SamplerConfig, total_evals
 from trajlab.schedule import make_linear_schedule
 
 
@@ -86,19 +90,24 @@ class TestBestOfN:
             best_of_n(np.zeros((0, 5, 2)), np.zeros((5, 2)))
 
 
+def tiny_setup(n_windows: int):
+    """A tiny model, its grid, a schedule and `n_windows` windows of one agent each."""
+    grid = GridSpec(12, 12, (0.5, 0.5), 1.0)
+    cfg = ModelConfig(t_h=4, t_f=3, d_f=8, encoder_hidden=8, denoiser_width=8,
+                      denoiser_blocks=1, embed_dim=4, goal_base_channels=4,
+                      sem_channels=1, sigma_px=1.0)
+    model = PredictionModel(cfg, grid)
+    sem = SemanticGrid(grid, np.ones((1, 12, 12)))
+    sched = make_linear_schedule(20)
+    path = np.stack([np.linspace(2, 8, 7), np.full(7, 5.0)], axis=1)
+    windows = [TrajectoryWindow("s", i, path[:4], path[4:], 0) for i in range(n_windows)]
+    return model, sem, sched, windows
+
+
 class TestBench:
     @pytest.fixture
     def setup(self):
-        grid = GridSpec(12, 12, (0.5, 0.5), 1.0)
-        cfg = ModelConfig(t_h=4, t_f=3, d_f=8, encoder_hidden=8, denoiser_width=8,
-                          denoiser_blocks=1, embed_dim=4, goal_base_channels=4,
-                          sem_channels=1, sigma_px=1.0)
-        model = PredictionModel(cfg, grid)
-        sem = SemanticGrid(grid, np.ones((1, 12, 12)))
-        sched = make_linear_schedule(20)
-        path = np.stack([np.linspace(2, 8, 7), np.full(7, 5.0)], axis=1)
-        windows = [TrajectoryWindow("s", i, path[:4], path[4:], 0) for i in range(2)]
-        return model, sem, sched, windows
+        return tiny_setup(2)
 
     def test_rows_and_exact_eval_counts(self, setup):
         model, sem, sched, windows = setup
@@ -111,9 +120,36 @@ class TestBench:
             assert np.isfinite(r.ade) and np.isfinite(r.fde)
             assert r.ms >= 0.0
 
+    def test_extra_denoiser_call_is_named(self, setup, monkeypatch):
+        # a tree sampler that evaluates one row more per window than the closed form
+        model, sem, sched, windows = setup
+        tree_sample = trajlab.model.tree_sample
+
+        def one_call_too_many(denoise, f_common, *args):
+            denoise(1, np.zeros((model.cfg.t_f, 2)), f_common)
+            return tree_sample(denoise, f_common, *args)
+
+        monkeypatch.setattr(trajlab.model, "tree_sample", one_call_too_many)
+        base = SamplerConfig(K=20, K_I=5, K_t=0, N=4)
+        expected = total_evals("ts", replace(base, K_t=4))
+        with pytest.raises(RuntimeError, match=f"^ts: measured {expected + 1} denoiser evals, "
+                                               f"expected {expected}$"):
+            bench_samplers(model, windows, sem, sched, base, trunk_steps=(4,), seed=0,
+                           repeats=1)
+
+    @pytest.mark.parametrize("rule", ["ts", "ddim", "ddpm", "d_ddpm"])
+    def test_denoiser_rows_per_window(self, setup, rule):
+        model, sem, sched, windows = setup
+        cfg = SamplerConfig(K=20, K_I=5, K_t=4, N=4)
+        ttst = TTSTConfig(n_samples=50) if rule == "ts" else None
+        before = model.denoiser.rows
+        for n, _ in enumerate(predict_windows(model, windows, sem, sched, cfg, 0, rule, ttst),
+                              start=1):
+            assert model.denoiser.rows - before == n * total_evals(rule, cfg)
+
     def test_denoiser_left_unpatched(self, setup):
-        # the eval counter is an instance attribute only while a pass runs, so a
-        # later patch of the class method sees this model's calls
+        # the bench reads the denoiser's own row count and assigns no attribute,
+        # so a later patch of the class method sees this model's calls
         model, sem, sched, windows = setup
         bench_samplers(model, windows, sem, sched, SamplerConfig(K=20, K_I=5, N=2),
                        trunk_steps=(4,), seed=0, repeats=1)
@@ -129,18 +165,77 @@ class TestBench:
         assert lines[1] == "ts,20,5,4,1.0,4,1.250000,2.500000,36,7.125"
 
 
+class TestPredictWindows:
+    @pytest.fixture
+    def setup(self):
+        return tiny_setup(5)
+
+    @staticmethod
+    def state(g: np.random.Generator) -> tuple:
+        s = g.bit_generator.state["state"]
+        return s["state"], s["inc"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_every_generator_of_a_run_has_its_own_state(self, setup, seed, monkeypatch):
+        # the split's generator, then per window its goal and noise generators and
+        # every chain's fork of the noise: no two start from one PCG64 state
+        model, sem, sched, windows = setup
+        cfg = SamplerConfig(K=20, K_I=5, K_t=4, N=4)  # eta 1: every branch draws noise
+        states = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(*args):
+            g = default_rng(*args)
+            states.append(self.state(g))
+            return g
+
+        with pytest.MonkeyPatch.context() as split:
+            split.setattr(np.random, "default_rng", recording_rng)
+            _split(windows, {"run": {"seed": seed}, "train": {"val_fraction": 0.4}})
+        assert len(states) == 1
+        fork, predict = NoiseStream.fork, model.predict_window
+
+        def recording_fork(stream, index):
+            child = fork(stream, index)
+            states.append(self.state(child._rng))
+            return child
+
+        def recording_predict(history, sem, cfg, schedule, rng, goal_rng, **kwargs):
+            states.extend([self.state(goal_rng), self.state(rng._rng)])
+            with pytest.MonkeyPatch.context() as chains:  # the forks this window makes
+                chains.setattr(NoiseStream, "fork", recording_fork)
+                return predict(history, sem, cfg, schedule, rng, goal_rng, **kwargs)
+
+        monkeypatch.setattr(model, "predict_window", recording_predict)
+        list(predict_windows(model, windows, sem, sched, cfg, seed, "ts", None))
+        assert len(states) == 1 + len(windows) * (2 + cfg.N)
+        assert len(set(states)) == len(states)
+
+    def test_reproducible_per_seed(self, setup):
+        model, sem, sched, windows = setup
+        cfg = SamplerConfig(K=20, K_I=5, K_t=4, N=4)
+
+        def run(seed):
+            return b"".join(p.tobytes() for _, p in predict_windows(
+                model, windows, sem, sched, cfg, seed, "ts", TTSTConfig(n_samples=50)))
+
+        assert run(3) == run(3)
+        assert run(3) != run(4)
+
+
 class TestPredictionsJson:
     def test_round_trip(self, tmp_path, rng):
-        records = [{"scene": "eth", "agent": 4, "frame_base": 780,
-                    "predictions": rng.standard_normal((3, 5, 2)),
-                    "gt": rng.standard_normal((5, 2))}]
+        window = TrajectoryWindow("eth", 4, rng.standard_normal((4, 2)),
+                                  rng.standard_normal((5, 2)), 780)
+        preds = rng.standard_normal((3, 5, 2))
         path = tmp_path / "preds.json"
-        write_predictions_json(path, records)
+        assert write_predictions_json(path, iter([(window, preds)])) == 1
         back = read_predictions_json(path)
         assert back[0]["scene"] == "eth"
         assert back[0]["agent"] == 4
-        np.testing.assert_allclose(back[0]["predictions"], records[0]["predictions"])
-        np.testing.assert_allclose(back[0]["gt"], records[0]["gt"])
+        assert back[0]["frame_base"] == 780
+        np.testing.assert_allclose(back[0]["predictions"], preds)
+        np.testing.assert_allclose(back[0]["gt"], window.future)
 
     @pytest.mark.parametrize("predictions, gt, message", [
         ("[[[true, false]]]", "[[0, 0]]", "record 0: predictions/gt are not arrays of numbers"),

@@ -331,20 +331,20 @@ class TestSelectGoals:
             gs = select_goals(m, grid, 6, ttst, rng=np.random.default_rng(seed))
             common, diverse = select_goals_reference(m, grid, 6, ttst,
                                                      np.random.default_rng(seed))
-            assert gs.common.tobytes() == common.tobytes()
-            assert gs.diverse.tobytes() == diverse.tobytes()
+            assert gs[0].tobytes() == common.tobytes()
+            assert gs[1:].tobytes() == diverse.tobytes()
 
     def test_common_is_argmax_pixel(self, grid):
         m = np.zeros((16, 16))
         m[3, 9] = 1.0
         gs = select_goals(m, grid, 4, rng=np.random.default_rng(0))
-        np.testing.assert_allclose(gs.common, grid.pixel_to_world(3, 9))
+        np.testing.assert_allclose(gs[0], grid.pixel_to_world(3, 9))
 
     def test_delta_map_all_samples_at_peak(self, grid):
         m = np.zeros((16, 16))
         m[5, 5] = 1.0
         gs = select_goals(m, grid, 10, rng=np.random.default_rng(0))
-        assert np.all(gs.diverse == grid.pixel_to_world(5, 5))
+        assert np.all(gs[1:] == grid.pixel_to_world(5, 5))
 
     def test_two_spike_sampling_law(self, grid):
         # 9:1 mass split -> sample frequencies near 0.9/0.1
@@ -352,15 +352,15 @@ class TestSelectGoals:
         m[2, 2] = 0.9
         m[12, 12] = 0.1
         gs = select_goals(m, grid, 5000, rng=np.random.default_rng(7))
-        at_heavy = np.mean(np.all(np.isclose(gs.diverse, grid.pixel_to_world(2, 2)), axis=1))
+        at_heavy = np.mean(np.all(np.isclose(gs[1:], grid.pixel_to_world(2, 2)), axis=1))
         assert abs(at_heavy - 0.9) < 0.02
 
     def test_scale_invariance_of_argmax(self, grid, rng):
         m = rng.uniform(size=(16, 16))
         a = select_goals(m, grid, 3, rng=np.random.default_rng(1))
         b = select_goals(m * 37.5, grid, 3, rng=np.random.default_rng(1))
-        np.testing.assert_array_equal(a.common, b.common)
-        np.testing.assert_array_equal(a.diverse, b.diverse)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1:], b[1:])
 
     def test_ttst_separates_two_modes(self, grid):
         m = np.zeros((16, 16))
@@ -368,7 +368,7 @@ class TestSelectGoals:
         m[13, 13] = 0.5
         gs = select_goals(m, grid, 2, ttst=TTSTConfig(n_samples=400),
                           rng=np.random.default_rng(0))
-        got = {tuple(np.round(g, 6)) for g in gs.diverse}
+        got = {tuple(np.round(g, 6)) for g in gs[1:]}
         want = {tuple(np.round(grid.pixel_to_world(2, 2), 6)),
                 tuple(np.round(grid.pixel_to_world(13, 13), 6))}
         assert got == want
@@ -378,7 +378,7 @@ class TestSelectGoals:
         a = select_goals(m, grid, 6, ttst=TTSTConfig(n_samples=6),
                          rng=np.random.default_rng(2))
         b = select_goals(m, grid, 6, rng=np.random.default_rng(2))
-        np.testing.assert_array_equal(a.diverse, b.diverse)
+        np.testing.assert_array_equal(a[1:], b[1:])
 
     def test_ttst_undersized_rejected(self, grid):
         with pytest.raises(ValueError):

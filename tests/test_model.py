@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trajlab.goal import GoalSet, GridSpec, SemanticGrid, TTSTConfig, rasterize_points
+from trajlab.goal import GridSpec, SemanticGrid, TTSTConfig, rasterize_points
 from trajlab.model import ModelConfig, PredictionModel, default_schedule
 from trajlab.sampler import NoiseStream, SamplerConfig
 
@@ -126,10 +126,9 @@ def test_condition_features_tag_the_condition_rows(setup, rng):
     # one "common" feature, then N "diverse" ones, each the bitwise row of the
     # one condition stage for the goals [common; diverse]
     model, _, history = setup
-    goals = GoalSet(diverse=rng.uniform(1, 11, size=(5, 2)), common=np.array([7.5, 3.0]))
+    goals = np.vstack([[7.5, 3.0], rng.uniform(1, 11, size=(5, 2))])
     common, diverse = model.condition_features(history, goals)
-    rows = model.condition(np.stack([history] * 6),
-                           np.vstack([goals.common, goals.diverse])).data
+    rows = model.condition(np.stack([history] * 6), goals).data
     assert common.kind == "common" and [f.kind for f in diverse] == ["diverse"] * 5
     assert np.stack([common.vector] + [f.vector for f in diverse]).tobytes() == rows.tobytes()
 

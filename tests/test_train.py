@@ -172,6 +172,23 @@ class TestTrainer:
         assert len(lines) == 3
         assert float(lines[1].split(",")[2]) == pytest.approx(hist[0]["l_traj"], abs=1e-7)
 
+    def test_csv_row_written_as_its_epoch_ends(self, tmp_path):
+        # a run killed in epoch 2 keeps epoch 1's row
+        _, _, _, trainer = tiny_setup(epochs=2)
+        log = tmp_path / "metrics.csv"
+        seen = []
+        train_epoch = trainer.train_epoch
+
+        def reading_epoch(windows):
+            seen.append(log.read_text())
+            return train_epoch(windows)
+
+        trainer.train_epoch = reading_epoch
+        hist = trainer.fit(tiny_windows(8), log_path=log)
+        assert seen[0] == "epoch,l_goal,l_traj,l_total,lr\n"
+        assert seen[1].split("\n")[1].startswith(f"1,{hist[0]['l_goal']:.8f},")
+        assert seen[1].count("\n") == 2
+
     def test_empty_training_set_rejected(self):
         _, _, _, trainer = tiny_setup()
         with pytest.raises(ValueError):
