@@ -11,11 +11,12 @@ returns that input's gradient given the output's. A tensor keeps only edges
 to tensors that need a gradient: a Parameter, or a tensor with edges of its
 own. A tensor built from data therefore has no edges, and gradients nobody
 reads (of data leaves, or conv2d's input gradient when the input is data) are
-never computed. `Tensor.backward` is the one place that sums gradients into
-`.grad`. A grad_fn never holds its own output, so a graph has no reference
-cycles and is freed as soon as its last tensor is dropped. Inside a
-`no_grad()` block no tensor keeps edges, so inference builds no graph and
-each op's saved inputs (conv2d's phase buffer) are freed when it returns.
+never computed. `Tensor.backward` is the one place that sums gradients, into
+`.grad` or, for Parameters, into a dict the caller passes. A grad_fn never
+holds its own output, so a graph has no reference cycles and is freed as soon
+as its last tensor is dropped. Inside a `no_grad()` block no tensor keeps
+edges, so inference builds no graph and each op's saved inputs (conv2d's phase
+buffer) are freed when it returns.
 
 conv2d builds no patch matrix: each kernel tap is one matmul over a shifted
 flat view of the padded input's stride phases, and the input gradient is the
@@ -66,9 +67,12 @@ def _needs_grad(t: Tensor) -> bool:  # a Parameter, or a tensor with edges of it
     return bool(t._edges) or isinstance(t, Parameter)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, grads: dict | None) -> None:
     # out of place: `__add__` hands the same array to both of its parents
-    t.grad = g if t.grad is None else t.grad + g
+    if grads is not None and isinstance(t, Parameter):
+        grads[t] = g if t not in grads else grads[t] + g
+    else:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 class Tensor:
@@ -85,7 +89,11 @@ class Tensor:
 
     # -- graph traversal --
 
-    def backward(self, seed: np.ndarray | None = None) -> None:
+    def backward(self, seed: np.ndarray | None = None, grads: dict | None = None) -> None:
+        """Backpropagate `seed` (1 for a scalar) from this tensor. Each Parameter's
+        gradient is summed into its `.grad`, or into `grads[p]` when a dict is
+        given, so that backwards over disjoint graphs sharing Parameters can run
+        at once."""
         if seed is None:
             if self.data.size != 1:
                 raise ValueError("backward() without seed requires a scalar output")
@@ -108,10 +116,10 @@ class Tensor:
         for node in topo:  # drop what an earlier backward through these nodes left
             if not isinstance(node, Parameter):
                 node.grad = None
-        _accumulate(self, np.asarray(seed, dtype=np.float64))
+        _accumulate(self, np.asarray(seed, dtype=np.float64), grads)
         for node in reversed(topo):
             for parent, grad_fn in node._edges:
-                _accumulate(parent, grad_fn(node.grad))
+                _accumulate(parent, grad_fn(node.grad), grads)
 
     # -- elementary ops --
 

@@ -30,3 +30,29 @@ def test_failing_property_test_does_not_end_the_session(tmp_path):
                           cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert done.returncode == 1, done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout
+
+
+THREAD_TEST = '''
+import threading
+
+
+def test_thread_fails():
+    def fail():
+        raise ValueError("raised on a thread")
+
+    thread = threading.Thread(target=fail)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+'''
+
+
+def test_exception_ending_a_thread_fails_the_test(tmp_path):
+    # pytest reports it only as a warning, which would let a worker thread's
+    # failure pass unseen
+    (tmp_path / "test_thread.py").write_text(THREAD_TEST)
+    done = subprocess.run([sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
+                           "-c", str(PYPROJECT), "--rootdir", str(tmp_path), "test_thread.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed" in done.stdout and "raised on a thread" in done.stdout

@@ -1,6 +1,9 @@
+import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -9,10 +12,10 @@ import pytest
 
 from trajlab import condition, goal
 from trajlab.data import TrajectoryWindow
-from trajlab.goal import GridSpec, SemanticGrid, argmax_goals
+from trajlab.goal import GridSpec, SemanticGrid, argmax_goals, rasterize_points
 from trajlab.model import ModelConfig, PredictionModel, default_schedule
 from conftest import finite_difference, lstm_chain, rel_error, upsample_conv_reference
-from trajlab.nncore import Parameter, Tensor
+from trajlab.nncore import Parameter, Tensor, adam_update
 from trajlab.sampler import NoiseStream, SamplerConfig
 from trajlab.schedule import make_linear_schedule
 from trajlab.train import (BCE_CLIP, TrainConfig, Trainer, combined_loss, diffusion_loss,
@@ -119,7 +122,9 @@ class TestDiffusionLoss:
                 rng.integers(1, 11, size=1)
                 return Tensor(rng.standard_normal((1, 3, 2)).reshape(1, -1))
 
-        loss = diffusion_loss(y0, None, Oracle(), sched, np.random.default_rng(99))
+        rng = np.random.default_rng(99)
+        k = rng.integers(1, 11, size=1)
+        loss = diffusion_loss(y0, None, Oracle(), sched, k, rng.standard_normal((1, 3, 2)))
         assert float(loss.data) == 0.0
 
     def test_zero_denoiser_mean_squared_noise(self):
@@ -131,11 +136,11 @@ class TestDiffusionLoss:
                 return Tensor(np.zeros((1, 6)))
 
         rng = np.random.default_rng(5)
+        k, eps = rng.integers(1, 11, size=1), rng.standard_normal((1, 3, 2))
         ref = np.random.default_rng(5)
         ref.integers(1, 11, size=1)
-        eps = ref.standard_normal((1, 3, 2))
-        assert float(diffusion_loss(y0, None, Zero(), sched, rng).data) == pytest.approx(
-            float(np.mean(eps ** 2)))
+        want = float(np.mean(ref.standard_normal((1, 3, 2)) ** 2))
+        assert float(diffusion_loss(y0, None, Zero(), sched, k, eps).data) == pytest.approx(want)
 
 
 def test_combined_loss_weighting():
@@ -231,18 +236,23 @@ class TestTrainer:
 
     def test_epoch_holds_one_batch_graph_at_a_time(self):
         # each batch's graph is dropped before the next batch builds its own, so
-        # an epoch of three batches peaks no higher than one batch, give or take
-        def peak(n):
-            trainer = tiny_setup()[3]
-            trainer.train_epoch(tiny_windows(4))  # warm: lazily built caches
+        # an epoch of three batches peaks no higher than three one-batch epochs
+        # of three trainers, each dropped after its epoch, give or take. Both
+        # sides take three steps: a step's peak depends on how its two halves'
+        # threads interleave
+        def peak(n, trainers):
+            trainers = [tiny_setup()[3] for _ in range(trainers)]
+            for trainer in trainers:
+                trainer.train_epoch(tiny_windows(4))  # warm: lazily built caches
             tracemalloc.start()
             try:
-                trainer.train_epoch(tiny_windows(n))
+                while trainers:
+                    trainers.pop().train_epoch(tiny_windows(n))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        one, three = peak(4), peak(12)
+        one, three = peak(4, trainers=3), peak(12, trainers=1)
         assert three < 1.3 * one, (one, three)
 
     def test_step_peak_below_reference_layers(self, monkeypatch):
@@ -288,6 +298,14 @@ class TestTrainer:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) < 200
+
+    def test_epoch_means_weigh_batches_by_windows(self):
+        # 5 windows at batch size 4: a batch of 4 with losses 1 and one of 1
+        # with losses 3 average to (4 * 1 + 3) / 5, not (1 + 3) / 2
+        _, _, _, trainer = tiny_setup()
+        trainer._step = lambda histories, futures, start: (1.0, 1.0) if start == 0 else (3.0, 3.0)
+        stats = trainer.train_epoch(tiny_windows(5))
+        assert stats["l_goal"] == stats["l_traj"] == pytest.approx(1.4, rel=1e-15)
 
     def test_student_forcing_path_runs(self):
         model, sem, sched, trainer = tiny_setup(teacher_forcing=False, epochs=2)
@@ -369,3 +387,145 @@ class TestLossDecoupling:
                 assert np.all(g == 0.0), name
         assert any(np.any(g != 0.0) for n, g in grads.items()
                    if n.startswith("goal."))
+
+
+def batch_in_trainer_order(windows, seed=0):
+    """The trainer's first batch of `windows` (one batch) and its draws, made
+    as the trainer makes them: the permutation, then k, then eps."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(windows))
+    histories = np.stack([windows[i].history for i in order])
+    futures = np.stack([windows[i].future for i in order])
+    k = rng.integers(1, make_linear_schedule(10).K + 1, size=len(windows))
+    return order, histories, futures, k, rng.standard_normal(futures.shape)
+
+
+class TestHalfBatchStep:
+    """A step runs its two half-batches on two threads and applies their
+    gradients, summed half 0 first, in one Adam step."""
+
+    @pytest.fixture(params=[None, 1e-6], ids=["default-switch", "1us-switch"])
+    def switch_interval(self, request):
+        # a 1 us interpreter switch interval interleaves the two halves' threads
+        # between almost every bytecode, where a shared update would get lost
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(request.param or saved)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(saved)
+
+    @pytest.mark.parametrize("teacher_forcing", [True, False])
+    def test_step_is_its_halves_summed_in_order(self, teacher_forcing, switch_interval):
+        windows = tiny_windows(4)  # one batch of 4: halves of 2
+        model, _, _, trainer = tiny_setup(teacher_forcing=teacher_forcing)
+        ref_model, _, _, ref = tiny_setup(teacher_forcing=teacher_forcing)
+        _, histories, futures, k, eps = batch_in_trainer_order(windows)
+
+        def grads_of(sl, weight):
+            l_goal, l_traj = ref._losses(histories[sl], futures[sl], k[sl], eps[sl])
+            grads = {}
+            combined_loss(l_traj, l_goal, ref.cfg.lam).backward(weight, grads)
+            return grads
+
+        half0, half1 = grads_of(slice(0, 2), 0.5), grads_of(slice(2, 4), 0.5)
+        whole = grads_of(slice(0, 4), 1.0)  # one graph, the one-batch arithmetic
+        want = {}
+        for name, p in ref_model.parameters().items():
+            grad = np.zeros(p.shape) + half0[p] + half1[p]
+            assert rel_error(grad, whole[p]) < 1e-12, name
+            want[name], _, _ = adam_update(p.data, grad, np.zeros(p.shape), np.zeros(p.shape),
+                                           1, ref.cfg.lr)
+        trainer.train_epoch(windows)
+        for name, p in model.parameters().items():
+            assert p.data.tobytes() == want[name].tobytes(), name
+
+    def test_one_window_batch_starts_no_thread(self, monkeypatch):
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        tiny_setup()[3].train_epoch(tiny_windows(1))
+        assert started == []
+        tiny_setup()[3].train_epoch(tiny_windows(2))
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("part", ["history", "future"])
+    def test_bad_window_in_second_half_fails_as_in_one_batch(self, part):
+        # the error names the position's index in the whole batch, as the
+        # one-graph step named it, not its index in the half
+        windows = tiny_windows(4)
+        order = batch_in_trainer_order(windows)[0]
+        w = windows[order[3]]  # batch row 3, in half 1
+        points = getattr(w, part).copy()
+        points[1] += [20.0, 0.0]
+        windows[order[3]] = dataclasses.replace(w, **{part: points})
+        rows = np.stack([getattr(windows[i], part) for i in order])
+        with pytest.raises(ValueError) as one_batch:
+            rasterize_points(rows, GRID, 1.0)
+        assert str(one_batch.value).startswith(f"position {3 * len(points) + 1} ")
+        before = threading.active_count()
+        with pytest.raises(ValueError) as step:
+            tiny_setup()[3].train_epoch(windows)
+        assert str(step.value) == str(one_batch.value)
+        assert threading.active_count() == before
+
+    def test_non_finite_loss_in_second_half_changes_no_parameter(self, monkeypatch):
+        model, _, _, trainer = tiny_setup()
+        before = {name: p.data.tobytes() for name, p in model.parameters().items()}
+        forward = model.denoiser.forward_t
+
+        def nan_on_worker(k, y_flat, f):  # half 1 runs on the worker thread
+            out = forward(k, y_flat, f)
+            return out if threading.current_thread() is threading.main_thread() else out * np.nan
+
+        monkeypatch.setattr(model.denoiser, "forward_t", nan_on_worker)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="non-finite loss in batch starting at index 0$"):
+            trainer.train_epoch(tiny_windows(4))
+        assert threading.active_count() == threads
+        for name, p in model.parameters().items():
+            assert p.data.tobytes() == before[name], name
+
+    def test_worker_exception_is_raised_unchanged(self, monkeypatch):
+        model, _, _, trainer = tiny_setup()
+        error = KeyError("raised on the worker")
+        condition = model.condition
+
+        def failing_on_worker(histories, goals):
+            if threading.current_thread() is not threading.main_thread():
+                raise error
+            return condition(histories, goals)
+
+        monkeypatch.setattr(model, "condition", failing_on_worker)
+        threads = threading.active_count()
+        with pytest.raises(KeyError) as raised:
+            trainer.train_epoch(tiny_windows(4))
+        assert raised.value is error
+        assert threading.active_count() == threads
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="Linux CPU affinity")
+    def test_bits_do_not_depend_on_the_core_count(self):
+        # two B=32 steps in a process pinned to one CPU give this process's bytes
+        script = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                  "import hashlib; from test_train import b32_trainer\n"
+                  "trainer, windows = b32_trainer()\n"
+                  "trainer.train_epoch(windows); trainer.train_epoch(windows)\n"
+                  "params = trainer.model.parameters().values()\n"
+                  "print(hashlib.sha256(b''.join(p.data.tobytes() for p in params)).hexdigest())\n")
+        here = Path(__file__).resolve().parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(here), str(here.parent / "src"), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        trainer, windows = b32_trainer()
+        trainer.train_epoch(windows)
+        trainer.train_epoch(windows)
+        params = trainer.model.parameters().values()
+        assert proc.stdout.strip() == hashlib.sha256(
+            b"".join(p.data.tobytes() for p in params)).hexdigest()
